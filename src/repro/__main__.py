@@ -570,7 +570,7 @@ def _cmd_serve(args) -> int:
     import signal
 
     from repro.domains.registry import domain_names
-    from repro.serve import MonitorServer, MonitorService, ServerConfig, ServiceConfig
+    from repro.serve import MonitorServer, MonitorService, ServerConfig
     from repro.serve.snapshot import load_snapshot_payload, save_service_snapshot
     from repro.utils.io import atomic_write_json
 
@@ -581,11 +581,7 @@ def _cmd_serve(args) -> int:
         )
     suite = _resolve_suite(args.suite) if args.suite else None
     try:
-        service = MonitorService(
-            args.domain,
-            config=ServiceConfig(parallel=not args.serial),
-            suite=suite,
-        )
+        service = MonitorService(args.domain, suite=suite)
         config = ServerConfig(
             host=args.host,
             port=args.port,
@@ -735,7 +731,6 @@ def _cmd_fleet(args) -> int:
         max_batch=args.max_batch,
         max_delay=args.max_delay,
         max_pending=args.max_pending,
-        serial=args.serial,
     )
     try:
         specs = manager.start()
@@ -1110,8 +1105,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "written on shutdown (Ctrl-C)")
     p_serve.add_argument("--ready-file", default=None, metavar="PATH",
                          help="write {host, port, domain, pid} JSON once listening")
-    p_serve.add_argument("--serial", action="store_true",
-                         help="disable the ingest_batch thread fan-out")
     p_serve.set_defaults(fn=_cmd_serve)
 
     p_load = sub.add_parser(
@@ -1178,8 +1171,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="per-shard server knob: batch coalescing window (s)")
     p_fleet.add_argument("--max-pending", type=int, default=1024,
                          help="per-shard server knob: admitted-unit bound")
-    p_fleet.add_argument("--serial", action="store_true",
-                         help="disable the per-shard ingest_batch thread fan-out")
     p_fleet.set_defaults(fn=_cmd_fleet)
 
     p_improve = sub.add_parser(

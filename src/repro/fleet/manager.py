@@ -78,7 +78,6 @@ class FleetManager:
         max_batch: int = 32,
         max_delay: float = 0.005,
         max_pending: int = 1024,
-        serial: bool = False,
         ready_timeout: float = READY_TIMEOUT,
     ) -> None:
         self.domain = domain
@@ -88,7 +87,6 @@ class FleetManager:
         self.max_batch = max_batch
         self.max_delay = max_delay
         self.max_pending = max_pending
-        self.serial = serial
         self.ready_timeout = ready_timeout
         self._procs: "dict[str, subprocess.Popen]" = {}
         self._specs: "dict[str, ShardSpec]" = {}
@@ -126,8 +124,6 @@ class FleetManager:
             "--max-delay", str(self.max_delay),
             "--max-pending", str(self.max_pending),
         ]
-        if self.serial:
-            command.append("--serial")
         log = open(self._log_file(name), "ab")
         try:
             self._procs[name] = subprocess.Popen(

@@ -26,7 +26,7 @@ import signal
 import sys
 
 from repro.domains.registry import domain_names
-from repro.serve import MonitorServer, MonitorService, ServerConfig, ServiceConfig
+from repro.serve import MonitorServer, MonitorService, ServerConfig
 from repro.serve.snapshot import load_snapshot_payload, save_service_snapshot
 from repro.utils.io import atomic_write_json
 
@@ -54,8 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--max-pending", type=int, default=1024,
                         help="admitted-unit bound; beyond it requests get "
                              "an explicit `overloaded` error")
-    parser.add_argument("--serial", action="store_true",
-                        help="disable the ingest_batch thread fan-out")
     return parser
 
 
@@ -67,9 +65,7 @@ def main(argv=None) -> int:
             f"registered domains: {', '.join(domain_names())}"
         )
     try:
-        service = MonitorService(
-            args.domain, config=ServiceConfig(parallel=not args.serial)
-        )
+        service = MonitorService(args.domain)
         config = ServerConfig(
             host=args.host,
             port=args.port,

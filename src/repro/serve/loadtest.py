@@ -46,7 +46,7 @@ import numpy as np
 
 from repro.core.seeding import derive_seed
 from repro.serve.net import MonitorServer, ServerConfig, ServiceClient, ServiceError
-from repro.serve.service import MonitorService, ServiceConfig
+from repro.serve.service import MonitorService
 from repro.utils.io import atomic_write_json
 
 #: Schema version of the ``BENCH_serve.json`` payload.
@@ -319,7 +319,7 @@ class _SinglePoint:
 
     async def start(self) -> tuple:
         self.server = MonitorServer(
-            MonitorService(self.config.domain, config=ServiceConfig(parallel=True)),
+            MonitorService(self.config.domain),
             ServerConfig(
                 max_batch=self.config.max_batch,
                 max_delay=self.config.max_delay,

@@ -222,10 +222,10 @@ class MonitorServer:
 
     The server owns a single worker task: connection handlers only
     validate, admit, and enqueue; the worker coalesces batches, drives
-    the service (in a thread, so the event loop keeps accepting and
-    rejecting while a batch is in flight), and routes responses back.
-    The service must not be touched by other threads while the server
-    runs.
+    the service directly on the event loop (serially — the evaluators
+    are pure Python, so neither a thread hop nor a thread pool buys
+    anything under the GIL), and routes responses back. The service
+    must not be touched by other threads while the server runs.
 
     Usage::
 
@@ -414,13 +414,16 @@ class MonitorServer:
             return
         try:
             pairs = [(sid, from_jsonable(raw)) for sid, raw in raw_pairs]
-        except (TypeError, ValueError) as exc:
+        except Exception as exc:
+            # Any codec failure is the unit's fault (a tagged unit with a
+            # missing key raises KeyError, not just TypeError/ValueError):
+            # answer it typed, never by dropping the connection.
             self.stats.rejected_bad += len(raw_pairs)
             conn.send(
                 _error_doc(
                     request_id,
                     "malformed-unit",
-                    f"raw unit does not decode: {exc}",
+                    f"raw unit does not decode: {type(exc).__name__}: {exc}",
                 )
             )
             return
@@ -440,7 +443,7 @@ class MonitorServer:
             if item is _SHUTDOWN:
                 return
             if item.op not in ("ingest", "ingest_batch"):
-                await self._execute_control(item)
+                self._execute_control(item)
                 continue
             batch = [item]
             n_units = item.n_units
@@ -459,9 +462,9 @@ class MonitorServer:
                     break
                 batch.append(nxt)
                 n_units += nxt.n_units
-            await self._flush(batch, loop)
+            self._flush(batch)
 
-    async def _flush(self, batch: list, loop) -> None:
+    def _flush(self, batch: list) -> None:
         pairs: list = []
         slices = []
         for item in batch:
@@ -470,9 +473,7 @@ class MonitorServer:
             slices.append((item, start, len(pairs)))
         self.stats.batches += 1
         try:
-            outcomes = await loop.run_in_executor(
-                None, lambda: self.service.ingest_batch_outcomes(pairs)
-            )
+            outcomes = self.service.ingest_batch_outcomes(pairs, parallel=False)
         except Exception as exc:  # e.g. batch wider than the LRU bound
             for item, _start, _stop in slices:
                 item.conn.send(
@@ -524,10 +525,9 @@ class MonitorServer:
             },
         }
 
-    async def _execute_control(self, item: _Request) -> None:
-        loop = asyncio.get_running_loop()
+    def _execute_control(self, item: _Request) -> None:
         try:
-            result = await loop.run_in_executor(None, lambda: self._control(item))
+            result = self._control(item)
         except KeyError as exc:
             item.conn.send(
                 _error_doc(
@@ -555,8 +555,8 @@ class MonitorServer:
         item.conn.send({"id": item.request_id, "ok": True, "result": result})
 
     def _control(self, item: _Request) -> dict:
-        # Runs on an executor thread; the worker awaits it, so the
-        # service still sees strictly serialized access.
+        # Runs on the event loop inside the single worker, like ingest
+        # batches, so the service sees strictly serialized access.
         op, request = item.op, item.payload
         if op == "report":
             stream_id = request.get("stream_id")
@@ -736,6 +736,10 @@ class ServiceClient:
                 if not line:
                     break
                 response = decode_frame(line)
+                if not isinstance(response, dict):
+                    raise FrameError(
+                        f"expected a response object, got {type(response).__name__}"
+                    )
                 future = self._futures.pop(response.get("id"), None)
                 if future is not None and not future.done():
                     future.set_result(response)
@@ -772,9 +776,13 @@ class ServiceClient:
     async def ping(self) -> dict:
         return await self.request("ping")
 
+    # Helpers taking user values encode them here: encode_frame writes
+    # a bare tuple as a list, so tuples must be tagged before framing.
     async def ingest(self, stream_id: str, raw) -> list:
         """Feed one raw unit; returns decoded fresh AssertionRecords."""
-        result = await self.request("ingest", stream_id=stream_id, raw=raw)
+        result = await self.request(
+            "ingest", stream_id=stream_id, raw=to_jsonable(raw)
+        )
         return [from_jsonable(record) for record in result["fires"]]
 
     async def ingest_batch(self, pairs: list) -> dict:
@@ -787,7 +795,7 @@ class ServiceClient:
         :meth:`MonitorService.ingest_batch_outcomes`.
         """
         envelope = await self.submit(
-            "ingest_batch", pairs=[[sid, raw] for sid, raw in pairs]
+            "ingest_batch", pairs=[[sid, to_jsonable(raw)] for sid, raw in pairs]
         )
         if envelope.get("result") is None:
             raise ServiceError(envelope.get("error"))
@@ -817,7 +825,8 @@ class ServiceClient:
         return (await self.request("snapshot"))["snapshot"]
 
     async def restore(self, snapshot: dict) -> list:
-        return (await self.request("restore", snapshot=snapshot))["streams"]
+        result = await self.request("restore", snapshot=to_jsonable(snapshot))
+        return result["streams"]
 
     async def evict(self, stream_id: str) -> None:
         await self.request("evict", stream_id=stream_id)
@@ -829,7 +838,7 @@ class ServiceClient:
     async def restore_stream(self, stream_id: str, session: dict) -> dict:
         """Restore one session payload (the migration write half)."""
         return await self.request(
-            "restore_stream", stream_id=stream_id, session=session
+            "restore_stream", stream_id=stream_id, session=to_jsonable(session)
         )
 
     async def apply_suite(self, suite, tick: "int | None" = None) -> dict:
@@ -958,7 +967,9 @@ class ReconnectingClient:
         return await self.request("ping")
 
     async def ingest(self, stream_id: str, raw) -> list:
-        result = await self.request("ingest", stream_id=stream_id, raw=raw)
+        result = await self.request(
+            "ingest", stream_id=stream_id, raw=to_jsonable(raw)
+        )
         return [from_jsonable(record) for record in result["fires"]]
 
     async def report(self, stream_id: str) -> MonitoringReport:

@@ -28,6 +28,14 @@ import numpy as np
 #: Registered dataclass types, by class name — the JSON codec's universe.
 _RESULT_TYPES: dict = {}
 
+#: Registered class → its field names, cached so :func:`to_jsonable`
+#: never calls ``dataclasses.fields`` on the hot path.
+_FIELD_NAMES: dict = {}
+
+#: Exact types :func:`to_jsonable` returns as they are. Subclasses (e.g.
+#: ``np.float64``, a ``float``) take the generic path.
+_PLAIN_TYPES = frozenset((str, int, float, bool, type(None)))
+
 
 def register_result_type(cls):
     """Register ``cls`` (a dataclass) with the JSON codec; returns it.
@@ -47,6 +55,7 @@ def register_result_type(cls):
             f"{existing.__qualname__}); rename one of them"
         )
     _RESULT_TYPES[cls.__name__] = cls
+    _FIELD_NAMES[cls] = tuple(f.name for f in dataclasses.fields(cls))
     return cls
 
 
@@ -61,7 +70,37 @@ def to_jsonable(obj):
     Handles registered dataclasses (tagged with ``__dataclass__``),
     tuples (tagged, so they decode back as tuples), numpy arrays and
     scalars, and plain dict/list/str/int/float/bool/None.
+
+    Dispatches on the exact type first; anything else (numpy values,
+    container subclasses, unencodable input) takes
+    :func:`_to_jsonable_generic`, which produces the same output.
     """
+    cls = type(obj)
+    if cls in _PLAIN_TYPES:
+        return obj
+    if cls is list:
+        return [to_jsonable(v) for v in obj]
+    if cls is dict:
+        encoded = {}
+        for key, value in obj.items():
+            if type(key) is not str and not isinstance(key, str):
+                raise TypeError(f"JSON object keys must be str, got {key!r}")
+            encoded[key] = to_jsonable(value)
+        return encoded
+    if cls is tuple:
+        return {"__tuple__": [to_jsonable(v) for v in obj]}
+    names = _FIELD_NAMES.get(cls)
+    if names is not None:
+        return {
+            "__dataclass__": cls.__name__,
+            "fields": {name: to_jsonable(getattr(obj, name)) for name in names},
+        }
+    return _to_jsonable_generic(obj)
+
+
+def _to_jsonable_generic(obj):
+    """:func:`to_jsonable` by ``isinstance`` checks, for every type the
+    exact-type dispatch does not cover."""
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         name = type(obj).__name__
         if name not in _RESULT_TYPES:

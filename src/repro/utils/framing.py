@@ -2,10 +2,23 @@
 
 The network front-end (:mod:`repro.serve.net`) speaks NDJSON over TCP:
 one frame per line, each line one JSON document. :func:`encode_frame`
-runs :func:`repro.utils.codec.to_jsonable` over the whole document, so
+hands the document to ``json.dumps`` with
+:func:`repro.utils.codec.to_jsonable` as its ``default`` hook, so
 codec-registered dataclasses (raw domain units, fire records,
-:class:`~repro.core.runtime.MonitoringReport` s) can be embedded
-directly and cross the wire losslessly, floats bit-exact included.
+:class:`~repro.core.runtime.MonitoringReport` s), numpy arrays and numpy
+scalars can be embedded directly and cross the wire losslessly, floats
+bit-exact included. Only those live objects are walked by the codec;
+plain content (forwarded raw units, relayed shard envelopes,
+already-encoded snapshots) goes straight to the C encoder.
+
+The encode contract: **tuples only inside codec objects.** A bare tuple
+in the plain part of a document is written as a JSON list (that is what
+``json.dumps`` does), not as the codec's ``__tuple__`` tag; callers that
+put user values into a frame encode them with ``to_jsonable`` first
+(see :class:`~repro.serve.net.ServiceClient`). Within that contract
+``encode_frame(doc)`` is byte-identical to
+``json.dumps(to_jsonable(doc))``. Plain dict keys follow ``json.dumps``
+too: int/float/bool/None keys become strings instead of raising.
 
 :func:`decode_frame` deliberately does **not** run ``from_jsonable``:
 several payloads (service snapshots, suite files) are *stored* in their
@@ -36,15 +49,15 @@ class FrameError(ValueError):
 
 
 def encode_frame(obj) -> bytes:
-    """One NDJSON frame: codec-encoded ``obj``, compact, newline-terminated.
+    """One NDJSON frame: ``obj`` compact and newline-terminated.
 
-    ``to_jsonable`` passes plain dict/list/scalar structures through
-    unchanged (already-encoded payloads stay as-is) and encodes any
-    registered dataclasses, tuples, and arrays found inside.
+    Plain dict/list/scalar structures are written as they are
+    (already-encoded payloads stay as-is); registered dataclasses, numpy
+    arrays and numpy scalars found inside are codec-encoded.
     """
     try:
-        text = json.dumps(to_jsonable(obj), separators=(",", ":"))
-    except TypeError as exc:
+        text = json.dumps(obj, separators=(",", ":"), default=to_jsonable)
+    except (TypeError, ValueError) as exc:
         raise FrameError(f"frame payload is not codec-encodable: {exc}") from exc
     return text.encode("utf-8") + b"\n"
 

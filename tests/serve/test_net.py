@@ -6,6 +6,7 @@ surface."""
 import asyncio
 import contextlib
 import json
+import threading
 
 import pytest
 
@@ -23,6 +24,7 @@ from repro.serve import (
     ServiceConfig,
     ServiceError,
 )
+from repro.utils.framing import FrameError
 from tests.serve.test_service import (
     SyntheticDomain,
     assert_reports_equal,
@@ -228,6 +230,46 @@ class TestOrdering:
         assert domain.observed["sd"] == list(range(n))
 
 
+class TestEventLoopExecution:
+    def test_batches_run_on_the_event_loop_thread(self):
+        """The worker drives the service on the loop thread: no executor
+        hop and no thread fan-out, even for multi-stream batches."""
+        n_streams, n_raw = 4, 10
+        units = {f"s{k}": raw_units(70 + k, n_raw) for k in range(n_streams)}
+        service = MonitorService(SyntheticDomain())  # parallel=True config
+        fire_threads = []
+        service.on_fire(lambda fire: fire_threads.append(threading.get_ident()))
+        observe_threads = []
+        real_item_from_raw = service.domain.item_from_raw
+
+        def recording_item_from_raw(raw, state=None):
+            observe_threads.append(threading.get_ident())
+            return real_item_from_raw(raw, state)
+
+        service.domain.item_from_raw = recording_item_from_raw
+
+        async def drive():
+            async with serving(service, max_delay=0.01) as (server, connect):
+                async def feed(sid):
+                    client = await connect()
+                    futs = [
+                        client.submit("ingest", stream_id=sid, raw=raw)
+                        for raw in units[sid]
+                    ]
+                    return await asyncio.gather(*futs)
+
+                envelopes = await asyncio.gather(*(feed(sid) for sid in units))
+                stats = await (await connect()).stats()
+                return threading.get_ident(), envelopes, stats
+
+        loop_thread, envelopes, stats = asyncio.run(drive())
+        assert all(env["ok"] for per in envelopes for env in per)
+        assert stats["batches"] < stats["accepted"]  # multi-unit batches
+        assert len(observe_threads) == n_streams * n_raw
+        assert fire_threads, "the synthetic streams should fire"
+        assert set(observe_threads) == set(fire_threads) == {loop_thread}
+
+
 class TestBatchingAndBackpressure:
     def test_pipelined_ingests_coalesce_under_max_delay(self):
         async def drive():
@@ -381,6 +423,16 @@ class TestErrorSurface:
                 with pytest.raises(ServiceError) as excinfo:
                     await client.request("ingest")  # missing stream_id/raw
                 assert excinfo.value.type == "bad-request"
+                # codec-tagged units that do not decode (KeyError inside
+                # from_jsonable) are typed, and the ledger counts them
+                for raw in ({"__dataclass__": "AssertionRecord"}, {"__ndarray__": {}}):
+                    with pytest.raises(ServiceError) as excinfo:
+                        await client.request("ingest", stream_id="s", raw=raw)
+                    assert excinfo.value.type == "malformed-unit"
+                stats = await client.stats()
+                assert stats["offered"] == 3
+                assert stats["rejected_bad"] == 3
+                assert stats["offered"] == stats["accepted"] + stats["rejected"]
                 # raw garbage on a fresh socket gets an id-less error
                 # frame back, not a hangup
                 reader, writer = await asyncio.open_connection(
@@ -395,6 +447,39 @@ class TestErrorSurface:
                 await writer.wait_closed()
 
         self.run(drive())
+
+    def test_client_fails_pending_requests_on_a_non_object_frame(self):
+        """A response frame that is valid JSON but not an object must
+        fail every pending request, not kill the reader and hang them."""
+
+        async def fake_server(reader, writer):
+            await reader.readline()
+            await reader.readline()
+            writer.write(b"[1,2]\n")
+            await writer.drain()
+            await reader.read()  # hold the connection open
+            writer.close()
+
+        async def drive():
+            server = await asyncio.start_server(fake_server, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            client = await ServiceClient.connect("127.0.0.1", port)
+            try:
+                first = client.submit("ping")
+                second = client.submit("stats")
+                results = await asyncio.wait_for(
+                    asyncio.gather(first, second, return_exceptions=True), 5
+                )
+                return results, client.connected
+            finally:
+                await client.close()
+                server.close()
+                await server.wait_closed()
+
+        results, connected = asyncio.run(drive())
+        assert all(isinstance(r, FrameError) for r in results), results
+        assert "list" in str(results[0])
+        assert not connected
 
     def test_ping_and_stats_roundtrip(self):
         async def drive():
