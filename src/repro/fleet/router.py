@@ -10,10 +10,12 @@ chosen by the :class:`~repro.fleet.ring.RoutingTable`.
 Routing invariants (``tests/fleet/test_router.py`` pins each):
 
 - **Per-stream FIFO end to end.** Ingest requests are forwarded to the
-  owning shard *synchronously, in arrival order* — the await happens on
-  the response, never before the forward — so two units of one stream
-  can never reorder, even across interleaved connections, a migration,
-  or a shard redial.
+  owning shard *synchronously, in arrival order*, inside the callback
+  that read the line; each forwarded unit carries a callback that
+  answers the client when the shard's response arrives, so nothing
+  awaits between reading a unit and forwarding it. Two units of one
+  stream can never reorder, even across interleaved connections, a
+  migration, or a shard redial.
 - **Typed errors, never hangups.** A dead shard surfaces as a
   ``shard-unavailable`` error payload naming the shard; requests queued
   while a shard link is redialing are flushed in order once it returns,
@@ -53,6 +55,7 @@ compose one :func:`~repro.fleet.snapshot.fleet_snapshot_payload`.
 from __future__ import annotations
 
 import asyncio
+import functools
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -63,15 +66,17 @@ from repro.fleet.snapshot import (
     validate_fleet_payload,
 )
 from repro.serve.net import (
-    PROTOCOL_VERSION,
+    _BAD_INGEST,
     ServiceClient,
     ServiceError,
     _Connection,
     _error_doc,
+    _ingest_pairs,
+    _LineServer,
 )
 from repro.serve.service import build_fleet_report
 from repro.utils.codec import from_jsonable
-from repro.utils.framing import MAX_FRAME_BYTES, FrameError, decode_frame
+from repro.utils.framing import MAX_FRAME_BYTES, FrameError
 
 
 @dataclass(frozen=True)
@@ -120,13 +125,14 @@ class _RouterOpError(Exception):
 class _ShardLink:
     """One persistent connection to one worker shard.
 
-    ``submit`` is synchronous (the write happens before returning to the
-    event loop), which is what preserves per-stream FIFO order across
-    everything the router forwards. On a lost connection the link
-    redials with bounded exponential backoff; requests submitted while
-    redialing queue in order, requests in flight at the moment of death
-    fail with :class:`ShardUnavailableError` — deliberately *not*
-    resent, because the shard may have applied them before crashing.
+    :meth:`submit` writes the request before it returns (no await),
+    which is what preserves per-stream FIFO order across everything the
+    router forwards, and hands back the client's own response future.
+    On a lost connection the link redials with bounded exponential
+    backoff; requests submitted while redialing queue in order, requests
+    in flight at the moment of death fail (:meth:`unavailable` names the
+    error) — deliberately *not* resent, because the shard may have
+    applied them before crashing.
     """
 
     def __init__(self, name: str, host: str, port: int, config: RouterConfig) -> None:
@@ -162,49 +168,44 @@ class _ShardLink:
         return not self._dead
 
     def submit(self, op: str, fields: dict) -> "asyncio.Future":
-        """Queue one request; resolves to the shard's response envelope."""
-        loop = asyncio.get_running_loop()
-        outer = loop.create_future()
-        if self._dead:
-            outer.set_exception(ShardUnavailableError(self.name, self._last_error))
-            return outer
-        if self._client is not None and not self._client.connected:
-            self._note_disconnect()
+        """Send one request. The future resolves to the shard's response
+        envelope, or fails with a :class:`ConnectionError` when the
+        request cannot be answered (pass it to :meth:`unavailable`)."""
+        self._check_connection()
         if self._client is not None:
-            self._send(op, fields, outer)
+            return self._client.submit(op, **fields)
+        future = asyncio.get_running_loop().create_future()
+        if self._dead:
+            future.set_exception(ShardUnavailableError(self.name, self._last_error))
         else:
-            self._backlog.append((op, fields, outer))
-        return outer
+            self._backlog.append((op, fields, future))
+        return future
 
     async def request(self, op: str, **fields) -> dict:
         """Call-and-wait; raises :class:`ServiceError` on ``ok: false``
         and :class:`ShardUnavailableError` on transport loss."""
-        envelope = await self.submit(op, fields)
+        try:
+            envelope = await self.submit(op, fields)
+        except (ConnectionError, FrameError) as exc:
+            raise self.unavailable(exc) from None
         if not envelope.get("ok"):
             raise ServiceError(envelope.get("error"))
         return envelope.get("result") or {}
 
-    def _send(self, op: str, fields: dict, outer: "asyncio.Future") -> None:
-        inner = self._client.submit(op, **fields)
+    def unavailable(self, exc: Exception) -> ShardUnavailableError:
+        """The error to report for a request that failed with ``exc``.
+        The connection died with it in flight, so start redialing for
+        later requests."""
+        self._check_connection()
+        if isinstance(exc, ShardUnavailableError):
+            return exc
+        return ShardUnavailableError(self.name, exc)
 
-        def _relay(fut: "asyncio.Future") -> None:
-            if fut.exception() is not None:
-                # The connection died with this request in flight. Fail
-                # it (at-most-once) and start redialing for later ones.
-                self._note_disconnect()
-                if not outer.done():
-                    outer.set_exception(
-                        ShardUnavailableError(self.name, fut.exception())
-                    )
-            elif not outer.done():
-                outer.set_result(fut.result())
-
-        inner.add_done_callback(_relay)
-
-    def _note_disconnect(self) -> None:
-        if self._client is not None:
-            client, self._client = self._client, None
-            asyncio.ensure_future(client.close())
+    def _check_connection(self) -> None:
+        if self._client is None or self._client.connected:
+            return
+        client, self._client = self._client, None
+        asyncio.ensure_future(client.close())
         if self._redial_task is None or self._redial_task.done():
             self._redial_task = asyncio.create_task(self._redial())
 
@@ -220,18 +221,36 @@ class _ShardLink:
             else:
                 self._client = client
                 backlog, self._backlog = self._backlog, []
-                for op, fields, outer in backlog:  # flush in arrival order
-                    if not outer.done():
-                        self._send(op, fields, outer)
+                for op, fields, future in backlog:  # flush in arrival order
+                    if future.done():
+                        continue
+                    try:
+                        _chain(client.submit(op, **fields), future)
+                    except ConnectionError as exc:  # died on arrival
+                        future.set_exception(exc)
                 return
         self._dead = True
         self._fail_backlog(self._last_error)
 
     def _fail_backlog(self, cause) -> None:
         backlog, self._backlog = self._backlog, []
-        for _op, _fields, outer in backlog:
-            if not outer.done():
-                outer.set_exception(ShardUnavailableError(self.name, cause))
+        for _op, _fields, future in backlog:
+            if not future.done():
+                future.set_exception(ShardUnavailableError(self.name, cause))
+
+
+def _chain(source: "asyncio.Future", target: "asyncio.Future") -> None:
+    """Settle ``target`` the way ``source`` settles."""
+
+    def _relay(fut: "asyncio.Future") -> None:
+        if target.done():
+            return
+        if fut.exception() is not None:
+            target.set_exception(fut.exception())
+        else:
+            target.set_result(fut.result())
+
+    source.add_done_callback(_relay)
 
 
 class _StreamRoute:
@@ -244,11 +263,18 @@ class _StreamRoute:
     def __init__(self) -> None:
         self.pending: "set[asyncio.Future]" = set()
         self.frozen = False
-        self.buffer: list = []  # [(raw, placeholder_future), ...]
+        self.buffer: list = []  # [(raw, on_doc), ...]
 
 
-class FleetRouter:
+class FleetRouter(_LineServer):
     """Front a sharded fleet with one NDJSON endpoint (see module doc).
+
+    Like :class:`~repro.serve.MonitorServer`, the router is driven by
+    connection callbacks: a line is parsed, and its units forwarded to
+    their shards, in the callback that read it. A forwarded unit's
+    response arrives as a callback on the shard link's future, which
+    writes the client's answer (an ``ingest_batch`` answers once its
+    last pair is back). Only control ops run as tasks.
 
     Parameters
     ----------
@@ -263,12 +289,15 @@ class FleetRouter:
         with ``config.replicas`` virtual nodes each.
     """
 
+    _role = "router"
+
     def __init__(
         self,
         domain: str,
         addresses: dict,
         config: "RouterConfig | None" = None,
     ) -> None:
+        super().__init__(domain)
         if not addresses:
             raise ValueError("a fleet needs at least one shard address")
         self.domain = domain
@@ -281,12 +310,10 @@ class FleetRouter:
             for name, (host, port) in sorted(addresses.items())
         }
         self._routes: "OrderedDict[str, _StreamRoute]" = OrderedDict()
-        self._server: "asyncio.base_events.Server | None" = None
-        self._connections: "set[_Connection]" = set()
         self._tasks: "set[asyncio.Task]" = set()
         self._control_lock = asyncio.Lock()
         self._gated = False
-        self._gate_buffer: list = []  # [(stream_id, raw, placeholder), ...]
+        self._gate_buffer: list = []  # [(stream_id, raw, on_doc), ...]
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -296,51 +323,16 @@ class FleetRouter:
             raise RuntimeError("router already started")
         for link in self._links.values():
             await link.start()
-        self._server = await asyncio.start_server(
-            self._handle_connection,
-            host=self.config.host,
-            port=self.config.port,
-            limit=self.config.max_frame_bytes + 1024,
-        )
-
-    @property
-    def host(self) -> str:
-        return self._bound_address()[0]
-
-    @property
-    def port(self) -> int:
-        return self._bound_address()[1]
-
-    def _bound_address(self) -> tuple:
-        if self._server is None:
-            raise RuntimeError("router not started")
-        return self._server.sockets[0].getsockname()[:2]
+        await super().start()
 
     async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        for task in list(self._tasks):
+        await self._close()
+        for task in self._tasks:
             task.cancel()
-        for task in list(self._tasks):
-            try:
-                await task
-            except (asyncio.CancelledError, Exception):
-                pass
+        await asyncio.gather(*self._tasks, return_exceptions=True)
         self._tasks.clear()
-        for conn in list(self._connections):
-            conn.outgoing.put_nowait(None)
-            if conn.writer_task is not None:
-                await conn.writer_task
-        self._connections.clear()
         for link in self._links.values():
             await link.close()
-
-    async def serve_forever(self) -> None:
-        if self._server is None:
-            await self.start()
-        await self._server.serve_forever()
 
     async def fleet_snapshot(self) -> dict:
         """Coordinated snapshot of the whole fleet (the ``snapshot`` op,
@@ -354,63 +346,10 @@ class FleetRouter:
     # ------------------------------------------------------------------
     # Connection handling
     # ------------------------------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        conn = _Connection(writer)
-        conn.writer_task = asyncio.create_task(conn.drain_writer())
-        self._connections.add(conn)
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except (ValueError, ConnectionError):
-                    conn.send(_error_doc(None, "bad-request", "frame too long"))
-                    break
-                if not line:
-                    break
-                self._handle_line(line, conn)
-        finally:
-            self._connections.discard(conn)
-            conn.outgoing.put_nowait(None)
-            await conn.writer_task
+    def _pong(self) -> dict:
+        return {**super()._pong(), "role": "router", "shards": list(self._links)}
 
-    def _handle_line(self, line: bytes, conn: _Connection) -> None:
-        try:
-            request = decode_frame(line, max_bytes=self.config.max_frame_bytes)
-        except FrameError as exc:
-            conn.send(_error_doc(None, "bad-request", str(exc)))
-            return
-        if not isinstance(request, dict) or not isinstance(request.get("op"), str):
-            conn.send(_error_doc(None, "bad-request", 'expected {"op": ..., ...}'))
-            return
-        request_id = request.get("id")
-        op = request["op"]
-        domain = request.get("domain")
-        if domain is not None and domain != self.domain:
-            conn.send(
-                _error_doc(
-                    request_id,
-                    "unknown-domain",
-                    f"this router serves domain {self.domain!r}, not {domain!r}",
-                    domain=self.domain,
-                )
-            )
-            return
-        if op == "ping":
-            conn.send(
-                {
-                    "id": request_id,
-                    "ok": True,
-                    "result": {
-                        "domain": self.domain,
-                        "protocol": PROTOCOL_VERSION,
-                        "role": "router",
-                        "shards": list(self._links),
-                    },
-                }
-            )
-            return
+    def _handle_request(self, op: str, request_id, request: dict, conn) -> None:
         if op in ("ingest", "ingest_batch"):
             # Submission MUST stay synchronous here: forwarding order to
             # the shard links is what defines per-stream FIFO.
@@ -431,10 +370,7 @@ class FleetRouter:
         if handler is None:
             conn.send(_error_doc(request_id, "bad-request", f"unknown op {op!r}"))
             return
-        self._spawn(self._run_op(handler, request_id, request, conn))
-
-    def _spawn(self, coroutine) -> None:
-        task = asyncio.create_task(coroutine)
+        task = asyncio.create_task(self._run_op(handler, request_id, request, conn))
         self._tasks.add(task)
         task.add_done_callback(self._tasks.discard)
 
@@ -466,38 +402,27 @@ class FleetRouter:
     def _handle_ingest(
         self, op: str, request_id, request: dict, conn: _Connection
     ) -> None:
-        try:
-            if op == "ingest":
-                raw_pairs = [(request["stream_id"], request["raw"])]
-            else:
-                raw_pairs = [(sid, raw) for sid, raw in request["pairs"]]
-            if not all(isinstance(sid, str) for sid, _raw in raw_pairs):
-                raise TypeError("stream ids must be strings")
-        except (KeyError, TypeError, ValueError):
-            conn.send(
-                _error_doc(
-                    request_id,
-                    "bad-request",
-                    "ingest needs stream_id+raw; ingest_batch needs "
-                    "pairs=[[stream_id, raw], ...]",
-                )
-            )
+        raw_pairs = _ingest_pairs(op, request)
+        if raw_pairs is None:
+            conn.send(_error_doc(request_id, "bad-request", _BAD_INGEST))
             return
         # Forward every pair now, in order (raw units pass through
         # undecoded — validation happens on the owning shard).
-        placeholders = [self._submit_pair(sid, raw) for sid, raw in raw_pairs]
+        if op == "ingest":
+            ((stream_id, raw),) = raw_pairs
 
-        async def _respond() -> None:
-            docs = await asyncio.gather(*placeholders)
-            if op == "ingest":
-                (doc,) = docs
+            def on_doc(doc: dict) -> None:
                 if doc["ok"]:
                     conn.send({"id": request_id, "ok": True, "result": doc})
                 else:
-                    conn.send(
-                        {"id": request_id, "ok": False, "error": doc["error"]}
-                    )
-                return
+                    conn.send({"id": request_id, "ok": False, "error": doc["error"]})
+
+            self._submit_pair(stream_id, raw, on_doc)
+            return
+        docs: list = [None] * len(raw_pairs)
+        missing = len(raw_pairs)
+
+        def answer() -> None:
             failed: "OrderedDict[str, bool]" = OrderedDict()
             for (sid, _raw), doc in zip(raw_pairs, docs):
                 if not doc["ok"]:
@@ -506,14 +431,21 @@ class FleetRouter:
                 {
                     "id": request_id,
                     "ok": not failed,
-                    "result": {
-                        "results": docs,
-                        "failed_streams": list(failed),
-                    },
+                    "result": {"results": docs, "failed_streams": list(failed)},
                 }
             )
 
-        self._spawn(_respond())
+        def on_pair_doc(index: int, doc: dict) -> None:
+            nonlocal missing
+            docs[index] = doc
+            missing -= 1
+            if missing == 0:
+                answer()
+
+        if not raw_pairs:
+            answer()
+        for index, (sid, raw) in enumerate(raw_pairs):
+            self._submit_pair(sid, raw, functools.partial(on_pair_doc, index))
 
     def _route(self, stream_id: str) -> _StreamRoute:
         route = self._routes.get(stream_id)
@@ -521,44 +453,36 @@ class FleetRouter:
             route = self._routes[stream_id] = _StreamRoute()
         return route
 
-    def _submit_pair(self, stream_id: str, raw) -> "asyncio.Future":
-        """Forward (or buffer) one unit; resolves to its per-pair doc.
-
-        The returned future never raises — transport failures resolve to
-        a ``shard-unavailable`` error doc.
-        """
+    def _submit_pair(self, stream_id: str, raw, on_doc) -> None:
+        """Forward (or buffer) one unit; ``on_doc`` receives its per-pair
+        doc. Transport failures arrive as a ``shard-unavailable`` doc."""
         route = self._route(stream_id)
         if self._gated:
-            placeholder = asyncio.get_running_loop().create_future()
-            self._gate_buffer.append((stream_id, raw, placeholder))
-            return placeholder
-        if route.frozen:
-            placeholder = asyncio.get_running_loop().create_future()
-            route.buffer.append((raw, placeholder))
-            return placeholder
-        return self._forward(route, stream_id, raw)
+            self._gate_buffer.append((stream_id, raw, on_doc))
+        elif route.frozen:
+            route.buffer.append((raw, on_doc))
+        else:
+            self._forward(route, stream_id, raw, on_doc)
 
-    def _forward(
-        self, route: _StreamRoute, stream_id: str, raw
-    ) -> "asyncio.Future":
+    def _forward(self, route: _StreamRoute, stream_id: str, raw, on_doc) -> None:
         link = self._links[self.table.owner(stream_id)]
-        envelope_future = link.submit("ingest", {"stream_id": stream_id, "raw": raw})
-        route.pending.add(envelope_future)
-        doc_future = asyncio.get_running_loop().create_future()
+        future = link.submit("ingest", {"stream_id": stream_id, "raw": raw})
+        route.pending.add(future)
 
         def _done(fut: "asyncio.Future") -> None:
             route.pending.discard(fut)
-            if doc_future.done():
+            if fut.cancelled():  # a drain cancelled by stop(): no one to answer
                 return
             exc = fut.exception()
             if exc is not None:
-                doc_future.set_result(
+                exc = link.unavailable(exc)
+                on_doc(
                     {
                         "ok": False,
                         "error": {
                             "type": "shard-unavailable",
                             "stream_id": stream_id,
-                            "shard": getattr(exc, "shard", None),
+                            "shard": exc.shard,
                             "message": str(exc),
                         },
                     }
@@ -566,38 +490,26 @@ class FleetRouter:
                 return
             envelope = fut.result()
             if envelope.get("ok"):
-                result = envelope["result"]
-                doc_future.set_result(
+                on_doc(
                     {
                         "ok": True,
                         "stream_id": stream_id,
-                        "fires": result["fires"],
+                        "fires": envelope["result"]["fires"],
                     }
                 )
             else:
                 error = dict(envelope.get("error") or {})
                 error.setdefault("stream_id", stream_id)
-                doc_future.set_result({"ok": False, "error": error})
+                on_doc({"ok": False, "error": error})
 
-        envelope_future.add_done_callback(_done)
-        return doc_future
-
-    @staticmethod
-    def _chain(source: "asyncio.Future", target: "asyncio.Future") -> None:
-        """Resolve ``target`` with ``source``'s doc (docs never raise)."""
-
-        def _relay(fut: "asyncio.Future") -> None:
-            if not target.done():
-                target.set_result(fut.result())
-
-        source.add_done_callback(_relay)
+        future.add_done_callback(_done)
 
     def _flush_route(self, route: _StreamRoute, stream_id: str) -> None:
         """Forward a frozen stream's held-back units, in order, to its
         (possibly new) owner. Synchronous — no await may interleave."""
         buffered, route.buffer = route.buffer, []
-        for raw, placeholder in buffered:
-            self._chain(self._forward(route, stream_id, raw), placeholder)
+        for raw, on_doc in buffered:
+            self._forward(route, stream_id, raw, on_doc)
 
     # ------------------------------------------------------------------
     # Quiesce primitives
@@ -620,12 +532,12 @@ class FleetRouter:
     def _release_gate(self) -> None:
         self._gated = False
         buffered, self._gate_buffer = self._gate_buffer, []
-        for stream_id, raw, placeholder in buffered:
+        for stream_id, raw, on_doc in buffered:
             route = self._route(stream_id)
             if route.frozen:  # a migration froze it while we were gated
-                route.buffer.append((raw, placeholder))
+                route.buffer.append((raw, on_doc))
             else:
-                self._chain(self._forward(route, stream_id, raw), placeholder)
+                self._forward(route, stream_id, raw, on_doc)
 
     # ------------------------------------------------------------------
     # Control ops

@@ -5,24 +5,35 @@ network so real traffic can reach a monitored fleet: newline-delimited
 JSON over TCP (framing in :mod:`repro.utils.framing`), one request
 document per line, one response document per request.
 
+The transport is callback-driven: one :class:`_Connection`
+(an :class:`asyncio.Protocol`) per socket, shared by
+:class:`MonitorServer`, the fleet router and :class:`ServiceClient`. It
+hands each complete line to its owner as it arrives and writes each
+response straight to the socket — no reader loop, writer queue or
+worker task sits between the wire and the service.
+
 Design contract (``tests/serve/test_net.py`` pins each clause):
 
-- **Batching with a max-delay flush.** Ingest requests queue into a
-  single pipeline; the worker coalesces up to ``max_batch`` raw units
-  per :meth:`MonitorService.ingest_batch_outcomes` call, waiting at most
-  ``max_delay`` seconds from the first queued unit — low-rate traffic is
-  never parked indefinitely waiting for a full batch.
-- **Strict per-stream ordering.** The pipeline is FIFO and batches
-  execute one at a time, and ``ingest_batch`` groups preserve arrival
-  order per stream — so two requests for the same ``stream_id`` are
-  applied in the order the server received them, even when their batches
-  interleave many streams or they arrived on different connections.
+- **Batching with a max-delay flush.** Admitted ingest requests join one
+  pending batch, flushed as a single
+  :meth:`MonitorService.ingest_batch_outcomes` call once it holds
+  ``max_batch`` raw units or ``max_delay`` seconds after its first unit,
+  whichever comes first — low-rate traffic is never parked indefinitely
+  waiting for a full batch.
+- **Strict per-stream ordering.** Batches leave the pending list in
+  arrival order and run one at a time, and ``ingest_batch`` groups
+  preserve arrival order per stream — so two requests for the same
+  ``stream_id`` are applied in the order the server received them, even
+  when their batches interleave many streams or they arrived on
+  different connections. A control op first flushes every unit admitted
+  before it, so it sees them all applied.
 - **Bounded-queue backpressure, no silent drops.** At most
   ``max_pending`` raw units may be queued; a unit beyond that is
   *rejected immediately* with a typed ``overloaded`` error response.
   Every offered unit is accounted for: ``accepted + rejected ==
   offered`` (:class:`ServerStats`), and every accepted unit eventually
-  gets exactly one response.
+  gets exactly one response — also when the client half-closes its end
+  right after sending.
 - **Structured error surfaces.** ``malformed-unit`` (a unit broke its
   session), ``broken-session`` (use of a fail-stopped stream),
   ``unknown-domain`` (request pinned a domain this server does not
@@ -56,7 +67,7 @@ testing" section for the full payload reference.
 from __future__ import annotations
 
 import asyncio
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 
 from repro.core.runtime import MonitoringReport
@@ -73,8 +84,9 @@ from repro.utils.framing import MAX_FRAME_BYTES, FrameError, decode_frame, encod
 #: Protocol version, echoed by ``ping``.
 PROTOCOL_VERSION = 1
 
-#: Queue sentinel that tells the worker to drain out.
-_SHUTDOWN = object()
+#: Slack over ``max_frame_bytes`` that a line may reach before the
+#: stream counts as unsynchronisable (answered once, then hung up).
+_READ_SLACK = 1024
 
 
 @dataclass(frozen=True)
@@ -172,94 +184,138 @@ class ServerStats:
         }
 
 
-@dataclass
-class _Request:
-    """One queued protocol request, bound to its connection."""
+class _Connection(asyncio.Protocol):
+    """One NDJSON connection, driven by the event loop's callbacks.
 
-    op: str
-    request_id: object
-    conn: "_Connection"
-    payload: dict
-    #: Decoded ``(stream_id, raw)`` pairs for ingest ops.
-    pairs: list = field(default_factory=list)
+    ``data_received`` cuts complete lines out of the byte stream and
+    hands each one to ``owner._handle_line(line, conn)``, with no await
+    in between; :meth:`send` writes one encoded frame straight to the
+    transport. The owner — a :class:`MonitorServer`, a fleet router or a
+    :class:`ServiceClient` — also implements ``_connection_made(conn)``,
+    ``_handle_overrun(conn)``, called once when a line outgrows
+    ``read_limit`` (the byte stream cannot be resynchronised, so reading
+    stops), and ``_connection_lost(conn, exc)``.
 
-    @property
-    def n_units(self) -> int:
-        return len(self.pairs)
-
-
-class _Connection:
-    """Per-connection state: an outgoing queue drained by a writer task,
-    so one slow consumer never stalls the shared ingest pipeline."""
-
-    def __init__(self, writer: asyncio.StreamWriter) -> None:
-        self.writer = writer
-        self.outgoing: "asyncio.Queue" = asyncio.Queue()
-        self.writer_task: "asyncio.Task | None" = None
-        self.closed = False
-
-    def send(self, document: dict) -> None:
-        if not self.closed:
-            self.outgoing.put_nowait(encode_frame(document))
-
-    async def drain_writer(self) -> None:
-        try:
-            while True:
-                data = await self.outgoing.get()
-                if data is None:
-                    break
-                self.writer.write(data)
-                await self.writer.drain()
-        except (ConnectionError, asyncio.CancelledError):
-            pass
-        finally:
-            self.closed = True
-            self.writer.close()
-
-
-class MonitorServer:
-    """Serve one :class:`MonitorService` fleet over TCP (see module doc).
-
-    The server owns a single worker task: connection handlers only
-    validate, admit, and enqueue; the worker coalesces batches, drives
-    the service directly on the event loop (serially — the evaluators
-    are pure Python, so neither a thread hop nor a thread pool buys
-    anything under the GIL), and routes responses back. The service
-    must not be touched by other threads while the server runs.
-
-    Usage::
-
-        server = MonitorServer(MonitorService("tvnews"))
-        await server.start()
-        ...  # clients connect to server.host:server.port
-        await server.stop()
+    Every line read is answered by exactly one frame sent, so ``lines
+    read - frames sent`` is what the connection still owes its peer. On
+    EOF — a client that sent its requests and then half-closed — the
+    connection stays open for writing until that count drops to zero,
+    then closes. A client reads only answers to frames it sent, so its
+    count never goes above zero and EOF closes it at once.
     """
 
-    def __init__(
-        self, service: MonitorService, config: "ServerConfig | None" = None
-    ) -> None:
-        self.service = service
-        self.config = config if config is not None else ServerConfig()
-        self.stats = ServerStats()
-        self._queue: "asyncio.Queue" = asyncio.Queue()
-        self._pending_units = 0
+    def __init__(self, owner, read_limit: int) -> None:
+        self._owner = owner
+        self._read_limit = read_limit
+        self._partial: list = []  # chunks of a line still missing its end
+        self._owed = 0
+        self._reading = True
+        self._eof = False
+        self._lost = asyncio.get_running_loop().create_future()
+        self.transport: "asyncio.Transport | None" = None
+
+    @property
+    def closed(self) -> bool:
+        return self.transport.is_closing()
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self._owner._connection_made(self)
+
+    def data_received(self, data: bytes) -> None:
+        if self._partial:
+            if b"\n" not in data:
+                self._hold(data)
+                return
+            self._partial.append(data)
+            data = b"".join(self._partial)
+            self._partial = []
+        start = 0
+        end = data.find(b"\n")
+        while end >= 0 and self._reading:
+            if end - start > self._read_limit:
+                self._overrun()
+                return
+            self._owed += 1
+            self._owner._handle_line(data[start : end + 1], self)
+            start = end + 1
+            end = data.find(b"\n", start)
+        if start < len(data) and self._reading:
+            self._hold(data[start:])
+
+    def _hold(self, chunk: bytes) -> None:
+        self._partial.append(chunk)
+        if sum(map(len, self._partial)) > self._read_limit:
+            self._overrun()
+
+    def _overrun(self) -> None:
+        self._reading = False
+        self._partial = []
+        self._owed += 1
+        self._owner._handle_overrun(self)
+
+    def eof_received(self) -> bool:
+        self.finish()
+        return True  # finish() closed the transport, or send() will
+
+    def connection_lost(self, exc) -> None:
+        self._reading = False
+        if not self._lost.done():
+            self._lost.set_result(None)
+        self._owner._connection_lost(self, exc)
+
+    def send(self, document: dict) -> None:
+        """Write one frame; a no-op once the connection is closing."""
+        if self.closed:
+            return
+        self.transport.write(encode_frame(document))
+        self._owed -= 1
+        if self._eof and self._owed <= 0:
+            self.transport.close()
+
+    def finish(self) -> None:
+        """Stop reading; close once every line read has been answered."""
+        self._reading = False
+        self._eof = True
+        if self._owed <= 0:
+            self.close()
+
+    def close(self) -> None:
+        """Close after the frames already written are flushed."""
+        self._reading = False
+        if not self.closed:
+            self.transport.close()
+
+    async def wait_closed(self) -> None:
+        await self._lost
+
+
+class _LineServer:
+    """The listening side shared by :class:`MonitorServer` and the fleet
+    router, which both serve the same protocol for one domain from a
+    ``config`` with ``host``, ``port`` and ``max_frame_bytes``.
+
+    It accepts :class:`_Connection` s, parses each line and answers what
+    needs no subclass (malformed frames, a foreign ``domain``, ``ping``),
+    answers a line past the read bound with one ``bad-request`` before
+    hanging up, and closes every connection on shutdown. Subclasses
+    implement ``_handle_request(op, request_id, request, conn)``.
+    """
+
+    _role = "server"
+
+    def __init__(self, domain_name: str) -> None:
+        self._domain_name = domain_name
         self._server: "asyncio.base_events.Server | None" = None
-        self._worker_task: "asyncio.Task | None" = None
         self._connections: "set[_Connection]" = set()
 
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
     async def start(self) -> None:
         if self._server is not None:
-            raise RuntimeError("server already started")
-        self._server = await asyncio.start_server(
-            self._handle_connection,
-            host=self.config.host,
-            port=self.config.port,
-            limit=self.config.max_frame_bytes + 1024,
+            raise RuntimeError(f"{self._role} already started")
+        read_limit = self.config.max_frame_bytes + _READ_SLACK
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Connection(self, read_limit), self.config.host, self.config.port
         )
-        self._worker_task = asyncio.create_task(self._worker())
 
     @property
     def host(self) -> str:
@@ -271,56 +327,27 @@ class MonitorServer:
 
     def _bound_address(self) -> tuple:
         if self._server is None:
-            raise RuntimeError("server not started")
+            raise RuntimeError(f"{self._role} not started")
         return self._server.sockets[0].getsockname()[:2]
-
-    async def stop(self) -> None:
-        """Stop accepting, drain queued work, close every connection."""
-        if self._server is None:
-            return
-        self._server.close()
-        await self._server.wait_closed()
-        self._server = None
-        if self._worker_task is not None:
-            self._queue.put_nowait(_SHUTDOWN)
-            await self._worker_task
-            self._worker_task = None
-        for conn in list(self._connections):
-            conn.outgoing.put_nowait(None)
-            if conn.writer_task is not None:
-                await conn.writer_task
-        self._connections.clear()
 
     async def serve_forever(self) -> None:
         if self._server is None:
             await self.start()
         await self._server.serve_forever()
 
-    # ------------------------------------------------------------------
-    # Connection handling: validate, admit, enqueue
-    # ------------------------------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        conn = _Connection(writer)
-        conn.writer_task = asyncio.create_task(conn.drain_writer())
-        self._connections.add(conn)
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except (ValueError, ConnectionError):
-                    # An overlong line cannot be resynced reliably —
-                    # answer once and hang up.
-                    conn.send(_error_doc(None, "bad-request", "frame too long"))
-                    break
-                if not line:
-                    break
-                self._handle_line(line, conn)
-        finally:
-            self._connections.discard(conn)
-            conn.outgoing.put_nowait(None)
-            await conn.writer_task
+    async def _close(self) -> None:
+        """Stop listening and close every connection, flushing what each
+        has written; returns once all are closed."""
+        if self._server is None:
+            return
+        self._server.close()
+        connections = list(self._connections)
+        for conn in connections:
+            conn.close()
+        for conn in connections:
+            await conn.wait_closed()
+        await self._server.wait_closed()
+        self._server = None
 
     def _handle_line(self, line: bytes, conn: _Connection) -> None:
         try:
@@ -334,29 +361,85 @@ class MonitorServer:
         request_id = request.get("id")
         op = request["op"]
         domain = request.get("domain")
-        if domain is not None and domain != self.service.domain.name:
+        if domain is not None and domain != self._domain_name:
             conn.send(
                 _error_doc(
                     request_id,
                     "unknown-domain",
-                    f"this server serves domain {self.service.domain.name!r}, "
+                    f"this {self._role} serves domain {self._domain_name!r}, "
                     f"not {domain!r}",
-                    domain=self.service.domain.name,
+                    domain=self._domain_name,
                 )
             )
             return
         if op == "ping":
-            conn.send(
-                {
-                    "id": request_id,
-                    "ok": True,
-                    "result": {
-                        "domain": self.service.domain.name,
-                        "protocol": PROTOCOL_VERSION,
-                    },
-                }
-            )
+            conn.send({"id": request_id, "ok": True, "result": self._pong()})
             return
+        self._handle_request(op, request_id, request, conn)
+
+    def _pong(self) -> dict:
+        return {"domain": self._domain_name, "protocol": PROTOCOL_VERSION}
+
+    def _handle_overrun(self, conn: _Connection) -> None:
+        conn.send(_error_doc(None, "bad-request", "frame too long"))
+        conn.finish()
+
+    def _connection_made(self, conn: _Connection) -> None:
+        self._connections.add(conn)
+
+    def _connection_lost(self, conn: _Connection, exc) -> None:
+        self._connections.discard(conn)
+
+
+class MonitorServer(_LineServer):
+    """Serve one :class:`MonitorService` fleet over TCP (see module doc).
+
+    Everything runs in event-loop callbacks. A connection hands each
+    line to :meth:`_handle_line`, which validates and admits it. An
+    admitted ingest request joins the pending batch; a full batch is
+    flushed right after the current read has been admitted, anything
+    less by a timer ``max_delay`` after its first unit. Batches and
+    control ops drive the service directly on the event loop (serially —
+    the evaluators are pure Python, so neither a thread hop nor a thread
+    pool buys anything under the GIL) and write their responses
+    straight to the connections. The service must not be touched by
+    other threads while the server runs.
+
+    Usage::
+
+        server = MonitorServer(MonitorService("tvnews"))
+        await server.start()
+        ...  # clients connect to server.host:server.port
+        await server.stop()
+    """
+
+    def __init__(
+        self, service: MonitorService, config: "ServerConfig | None" = None
+    ) -> None:
+        super().__init__(service.domain.name)
+        self.service = service
+        self.config = config if config is not None else ServerConfig()
+        self.stats = ServerStats()
+        #: Admitted ingest requests, oldest first, as
+        #: ``(op, request_id, conn, pairs)``; they hold every pending unit.
+        self._queued: "deque[tuple]" = deque()
+        self._pending_units = 0
+        self._flush_handle: "asyncio.Handle | None" = None
+
+    # ------------------------------------------------------------------
+    # Lifecycle
+    # ------------------------------------------------------------------
+    async def stop(self) -> None:
+        """Stop accepting, answer every queued unit, close every connection."""
+        if self._server is None:
+            return
+        self._drain()
+        await self._close()
+
+    # ------------------------------------------------------------------
+    # Connection handling: validate, admit, enqueue
+    # ------------------------------------------------------------------
+    def _handle_request(self, op: str, request_id, request: dict, conn) -> None:
         if op in ("ingest", "ingest_batch"):
             self._admit_ingest(op, request_id, request, conn)
             return
@@ -371,31 +454,19 @@ class MonitorServer:
             "restore_stream",
             "apply_suite",
         ):
-            self._queue.put_nowait(_Request(op, request_id, conn, request))
+            self._drain()  # the op sees every unit admitted before it
+            self._execute_control(op, request_id, request, conn)
             return
         conn.send(_error_doc(request_id, "bad-request", f"unknown op {op!r}"))
 
     def _admit_ingest(
         self, op: str, request_id, request: dict, conn: _Connection
     ) -> None:
-        try:
-            if op == "ingest":
-                raw_pairs = [(request["stream_id"], request["raw"])]
-            else:
-                raw_pairs = [(sid, raw) for sid, raw in request["pairs"]]
-            if not all(isinstance(sid, str) for sid, _raw in raw_pairs):
-                raise TypeError("stream ids must be strings")
-        except (KeyError, TypeError, ValueError):
+        raw_pairs = _ingest_pairs(op, request)
+        if raw_pairs is None:
             self.stats.offered += 1
             self.stats.rejected_bad += 1
-            conn.send(
-                _error_doc(
-                    request_id,
-                    "bad-request",
-                    "ingest needs stream_id+raw; ingest_batch needs "
-                    "pairs=[[stream_id, raw], ...]",
-                )
-            )
+            conn.send(_error_doc(request_id, "bad-request", _BAD_INGEST))
             return
         self.stats.offered += len(raw_pairs)
         budget = self.config.max_pending - self._pending_units
@@ -429,69 +500,71 @@ class MonitorServer:
             return
         self.stats.accepted += len(pairs)
         self._pending_units += len(pairs)
-        self._queue.put_nowait(_Request(op, request_id, conn, request, pairs=pairs))
+        self._queued.append((op, request_id, conn, pairs))
+        self._arm()
 
     # ------------------------------------------------------------------
-    # Worker: coalesce, flush, respond
+    # Coalescer: flush, respond
     # ------------------------------------------------------------------
-    async def _worker(self) -> None:
+    def _arm(self) -> None:
+        """Schedule the next flush of the queued units: as soon as the
+        current read is admitted once they fill a batch, else
+        ``max_delay`` after the batch's first unit."""
         loop = asyncio.get_running_loop()
-        carry = None
-        while True:
-            item = carry if carry is not None else await self._queue.get()
-            carry = None
-            if item is _SHUTDOWN:
-                return
-            if item.op not in ("ingest", "ingest_batch"):
-                self._execute_control(item)
-                continue
-            batch = [item]
-            n_units = item.n_units
-            deadline = loop.time() + self.config.max_delay
-            while n_units < self.config.max_batch:
-                remaining = deadline - loop.time()
-                try:
-                    if remaining <= 0:
-                        nxt = self._queue.get_nowait()
-                    else:
-                        nxt = await asyncio.wait_for(self._queue.get(), remaining)
-                except (asyncio.QueueEmpty, asyncio.TimeoutError):
-                    break
-                if nxt is _SHUTDOWN or nxt.op not in ("ingest", "ingest_batch"):
-                    carry = nxt  # flush first, then handle it in order
-                    break
-                batch.append(nxt)
-                n_units += nxt.n_units
-            self._flush(batch)
+        if self._pending_units >= self.config.max_batch:
+            if isinstance(self._flush_handle, asyncio.TimerHandle):
+                self._flush_handle.cancel()
+                self._flush_handle = None
+            if self._flush_handle is None:
+                self._flush_handle = loop.call_soon(self._on_flush)
+        elif self._flush_handle is None:
+            self._flush_handle = loop.call_later(
+                self.config.max_delay, self._on_flush
+            )
 
-    def _flush(self, batch: list) -> None:
+    def _on_flush(self) -> None:
+        self._flush_handle = None
+        self._flush_batch()
+        if self._queued:
+            self._arm()
+
+    def _drain(self) -> None:
+        """Flush every queued unit now, batch by batch."""
+        if self._flush_handle is not None:
+            self._flush_handle.cancel()
+            self._flush_handle = None
+        while self._queued:
+            self._flush_batch()
+
+    def _flush_batch(self) -> None:
+        """Run the oldest queued requests, up to ``max_batch`` units
+        (the request that crosses it included), as one service batch."""
         pairs: list = []
         slices = []
-        for item in batch:
+        while self._queued and len(pairs) < self.config.max_batch:
+            op, request_id, conn, request_pairs = self._queued.popleft()
             start = len(pairs)
-            pairs.extend(item.pairs)
-            slices.append((item, start, len(pairs)))
+            pairs.extend(request_pairs)
+            slices.append((op, request_id, conn, start, len(pairs)))
         self.stats.batches += 1
         try:
             outcomes = self.service.ingest_batch_outcomes(pairs, parallel=False)
         except Exception as exc:  # e.g. batch wider than the LRU bound
-            for item, _start, _stop in slices:
-                item.conn.send(
+            for _op, request_id, conn, _start, _stop in slices:
+                conn.send(
                     _error_doc(
-                        item.request_id,
-                        "internal",
-                        f"{type(exc).__name__}: {exc}",
+                        request_id, "internal", f"{type(exc).__name__}: {exc}"
                     )
                 )
             for stream_id, _raw in pairs:
                 self.stats.count_outcome(stream_id, ok=False)
             self._pending_units -= len(pairs)
             return
-        for item, start, stop in slices:
-            item.conn.send(self._ingest_response(item, outcomes[start:stop]))
+        for op, request_id, conn, start, stop in slices:
+            conn.send(self._ingest_response(op, request_id, outcomes[start:stop]))
         self._pending_units -= len(pairs)
 
-    def _ingest_response(self, item: _Request, outcomes: list) -> dict:
+    def _ingest_response(self, op: str, request_id, outcomes: list) -> dict:
         results = []
         failed_streams: "OrderedDict[str, bool]" = OrderedDict()
         for outcome in outcomes:
@@ -509,15 +582,15 @@ class MonitorServer:
                 results.append(
                     {"ok": False, "error": _outcome_error(outcome)}
                 )
-        if item.op == "ingest":
+        if op == "ingest":
             (result,) = results
             if result["ok"]:
-                return {"id": item.request_id, "ok": True, "result": result}
-            return {"id": item.request_id, "ok": False, "error": result["error"]}
+                return {"id": request_id, "ok": True, "result": result}
+            return {"id": request_id, "ok": False, "error": result["error"]}
         # A multi-pair batch reports every failed stream, not just the
         # first — the per-pair outcomes plus a summary list.
         return {
-            "id": item.request_id,
+            "id": request_id,
             "ok": not failed_streams,
             "result": {
                 "results": results,
@@ -525,39 +598,32 @@ class MonitorServer:
             },
         }
 
-    def _execute_control(self, item: _Request) -> None:
+    def _execute_control(self, op: str, request_id, request: dict, conn) -> None:
         try:
-            result = self._control(item)
+            result = self._control(op, request)
         except KeyError as exc:
-            item.conn.send(
+            conn.send(
                 _error_doc(
-                    item.request_id,
-                    "unknown-stream",
-                    f"no live stream {exc.args[0]!r}",
+                    request_id, "unknown-stream", f"no live stream {exc.args[0]!r}"
                 )
             )
             return
         except BrokenSessionError as exc:
-            item.conn.send(
-                _error_doc(item.request_id, "broken-session", str(exc))
-            )
+            conn.send(_error_doc(request_id, "broken-session", str(exc)))
             return
         except ValueError as exc:
-            item.conn.send(_error_doc(item.request_id, "bad-request", str(exc)))
+            conn.send(_error_doc(request_id, "bad-request", str(exc)))
             return
         except Exception as exc:
-            item.conn.send(
-                _error_doc(
-                    item.request_id, "internal", f"{type(exc).__name__}: {exc}"
-                )
+            conn.send(
+                _error_doc(request_id, "internal", f"{type(exc).__name__}: {exc}")
             )
             return
-        item.conn.send({"id": item.request_id, "ok": True, "result": result})
+        conn.send({"id": request_id, "ok": True, "result": result})
 
-    def _control(self, item: _Request) -> dict:
-        # Runs on the event loop inside the single worker, like ingest
-        # batches, so the service sees strictly serialized access.
-        op, request = item.op, item.payload
+    def _control(self, op: str, request: dict) -> dict:
+        # Runs on the event loop between batches, like ingest batches,
+        # so the service sees strictly serialized access.
         if op == "report":
             stream_id = request.get("stream_id")
             if not isinstance(stream_id, str):
@@ -590,7 +656,7 @@ class MonitorServer:
             return {"stream_id": stream_id}
         if op == "snapshot_stream":
             # One stream's restorable session snapshot — the migration
-            # read half. Queued behind any in-flight ingest batches, so
+            # read half. Runs after every unit admitted before it, so
             # the payload always sits at a raw-unit boundary.
             stream_id = request.get("stream_id")
             if not isinstance(stream_id, str):
@@ -635,6 +701,24 @@ class MonitorServer:
         payload["sessions"] = self.service.session_units()
         payload["domain"] = self.service.domain.name
         return payload
+
+
+_BAD_INGEST = (
+    "ingest needs stream_id+raw; ingest_batch needs pairs=[[stream_id, raw], ...]"
+)
+
+
+def _ingest_pairs(op: str, request: dict) -> "list | None":
+    """The ``(stream_id, raw)`` pairs of an ``ingest``/``ingest_batch``
+    request, or None when it is malformed."""
+    try:
+        if op == "ingest":
+            pairs = [(request["stream_id"], request["raw"])]
+        else:
+            pairs = [(sid, raw) for sid, raw in request["pairs"]]
+    except (KeyError, TypeError, ValueError):
+        return None
+    return pairs if all(isinstance(sid, str) for sid, _raw in pairs) else None
 
 
 def _error_doc(request_id, error_type: str, message: str, **extra) -> dict:
@@ -688,65 +772,62 @@ class ServiceClient:
     so many requests may be in flight at once.
     """
 
-    def __init__(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._reader = reader
-        self._writer = writer
+    def __init__(self) -> None:
+        self._conn: "_Connection | None" = None
         self._futures: "dict[int, asyncio.Future]" = {}
         self._next_id = 0
-        self._reader_task = asyncio.create_task(self._read_responses())
 
     @classmethod
     async def connect(cls, host: str, port: int) -> "ServiceClient":
-        reader, writer = await asyncio.open_connection(
-            host, port, limit=MAX_FRAME_BYTES + 1024
+        client = cls()
+        await asyncio.get_running_loop().create_connection(
+            lambda: _Connection(client, MAX_FRAME_BYTES + _READ_SLACK), host, port
         )
-        return cls(reader, writer)
+        return client
 
     @property
     def connected(self) -> bool:
-        """False once the server hung up (or :meth:`close` ran).
+        """False once the connection is closing: the server hung up,
+        sent an unreadable frame, or :meth:`close` ran.
 
-        The reader task fails every pending future *before* it finishes,
-        so when this turns False no submitted request can still be left
-        hanging — callers (the fleet router's shard links) check it to
-        avoid writing into a dead transport, where the bytes would
-        vanish without an error.
+        From then on :meth:`submit` raises :class:`ConnectionError`, and
+        every request still pending fails with one once the close
+        completes, so no submitted request is left hanging — callers
+        (the fleet router's shard links, :class:`ReconnectingClient`)
+        check it to redial instead of writing into a dead transport.
         """
-        return not self._reader_task.done()
+        return not self._conn.closed
 
     async def close(self) -> None:
-        self._reader_task.cancel()
-        try:
-            await self._reader_task
-        except asyncio.CancelledError:
-            pass
-        self._writer.close()
-        try:
-            await self._writer.wait_closed()
-        except ConnectionError:
-            pass
         self._fail_pending(ConnectionError("client closed"))
+        self._conn.close()
+        await self._conn.wait_closed()
 
-    async def _read_responses(self) -> None:
+    def _connection_made(self, conn: _Connection) -> None:
+        self._conn = conn
+
+    def _handle_line(self, line: bytes, conn: _Connection) -> None:
         try:
-            while True:
-                line = await self._reader.readline()
-                if not line:
-                    break
-                response = decode_frame(line)
-                if not isinstance(response, dict):
-                    raise FrameError(
-                        f"expected a response object, got {type(response).__name__}"
-                    )
-                future = self._futures.pop(response.get("id"), None)
-                if future is not None and not future.done():
-                    future.set_result(response)
-        except (FrameError, ConnectionError, ValueError) as exc:
+            response = decode_frame(line)
+            if not isinstance(response, dict):
+                raise FrameError(
+                    f"expected a response object, got {type(response).__name__}"
+                )
+        except FrameError as exc:
             self._fail_pending(exc)
-        else:
-            self._fail_pending(ConnectionError("server closed the connection"))
+            conn.close()
+            return
+        future = self._futures.pop(response.get("id"), None)
+        if future is not None and not future.done():
+            future.set_result(response)
+
+    def _handle_overrun(self, conn: _Connection) -> None:
+        self._fail_pending(FrameError("response frame too long"))
+        conn.close()
+
+    def _connection_lost(self, conn: _Connection, exc) -> None:
+        reason = f"connection lost: {exc}" if exc else "server closed the connection"
+        self._fail_pending(ConnectionError(reason))
 
     def _fail_pending(self, exc: Exception) -> None:
         for future in self._futures.values():
@@ -755,14 +836,20 @@ class ServiceClient:
         self._futures.clear()
 
     def submit(self, op: str, **fields) -> "asyncio.Future":
-        """Send one request without waiting; resolves to the envelope."""
+        """Send one request without waiting; resolves to the envelope.
+
+        Raises :class:`ConnectionError` at once when the client is no
+        longer :attr:`connected`: nothing could ever answer it.
+        """
+        if self._conn.closed:
+            raise ConnectionError("the connection to the server is closed")
         request_id = self._next_id
         self._next_id += 1
-        future = asyncio.get_running_loop().create_future()
-        self._futures[request_id] = future
         request = {"op": op, "id": request_id}
         request.update(fields)
-        self._writer.write(encode_frame(request))
+        self._conn.send(request)
+        future = asyncio.get_running_loop().create_future()
+        self._futures[request_id] = future
         return future
 
     async def request(self, op: str, **fields) -> dict:

@@ -91,7 +91,8 @@ class TestBenchPayload:
         result = run_loadtest(config)
         path = str(tmp_path / "BENCH_serve.json")
         payload = write_bench(result, path)
-        assert json.load(open(path)) == payload
+        with open(path) as handle:
+            assert json.load(handle) == payload
         assert payload["bench"] == "serve_loadtest"
         assert payload["domain"] == "tvnews"
         assert payload["config"]["client_counts"] == [1]

@@ -304,6 +304,71 @@ class TestBatchingAndBackpressure:
         stats = asyncio.run(drive())
         assert stats["completed"] == 1
 
+    def test_full_batch_flushes_without_waiting_for_the_deadline(self):
+        async def drive():
+            service = MonitorService(SyntheticDomain())
+            async with serving(service, max_batch=4, max_delay=30) as (
+                server,
+                connect,
+            ):
+                client = await connect()
+                raw = raw_units(0, 1)[0]
+                futs = [
+                    client.submit("ingest", stream_id=f"s{i}", raw=raw)
+                    for i in range(4)
+                ]
+                envelopes = await asyncio.wait_for(asyncio.gather(*futs), 5)
+                assert all(env["ok"] for env in envelopes)
+                return server.stats.batches
+
+        assert asyncio.run(drive()) == 1
+
+    def test_control_op_answers_after_the_units_queued_before_it(self):
+        async def drive():
+            service = MonitorService(SyntheticDomain())
+            async with serving(service, max_delay=30) as (server, connect):
+                client = await connect()
+                raw = raw_units(0, 1)[0]
+                answered = []
+                for i in range(3):
+                    fut = client.submit("ingest", stream_id=f"s{i}", raw=raw)
+                    fut.add_done_callback(lambda _f, i=i: answered.append(i))
+                stats = await asyncio.wait_for(client.stats(), 5)
+                return answered, stats
+
+        answered, stats = asyncio.run(drive())
+        assert answered == [0, 1, 2]  # written before the stats answer
+        assert stats["completed"] == 3 and stats["pending"] == 0
+
+    def test_stop_answers_queued_units_and_leaves_no_timer(self):
+        max_delay = 0.3
+
+        async def drive():
+            service = MonitorService(SyntheticDomain())
+            server = MonitorServer(service, ServerConfig(max_delay=max_delay))
+            await server.start()
+            client = await ServiceClient.connect(server.host, server.port)
+            try:
+                raw = raw_units(0, 1)[0]
+                futs = [
+                    client.submit("ingest", stream_id=f"s{i}", raw=raw)
+                    for i in range(3)
+                ]
+                while server.stats.accepted < 3:
+                    await asyncio.sleep(0.005)
+                await server.stop()  # the batch is still waiting
+                envelopes = await asyncio.wait_for(asyncio.gather(*futs), 5)
+                batches = server.stats.batches
+                await asyncio.sleep(max_delay + 0.1)  # a stray timer would fire
+                return envelopes, batches, server.stats
+            finally:
+                await client.close()
+
+        envelopes, batches, stats = asyncio.run(drive())
+        assert all(env["ok"] for env in envelopes)
+        assert stats.batches == batches == 1
+        assert stats.completed == 3
+
     def test_backpressure_is_explicit_and_accounted(self):
         """The acceptance ledger: accepted + rejected == offered, every
         rejection an explicit `overloaded` error, nothing silently
@@ -706,6 +771,49 @@ class TestReconnectingClient:
         for raw in units:
             direct.ingest("s", raw)
         assert_reports_equal(report, direct.report("s"))
+
+    def test_redials_after_a_bounce_between_requests(self):
+        """Regression: a server that went away *between* requests left
+        the client's connection dead; the next request must redial, not
+        wait forever for an answer on it."""
+
+        async def drive():
+            service = MonitorService(SyntheticDomain())
+            server = MonitorServer(service, ServerConfig())
+            await server.start()
+            port = server.port
+            client = await ReconnectingClient.connect(
+                "127.0.0.1", port, retries=3, backoff=0.02
+            )
+            try:
+                await client.ping()
+                await server.stop()
+                server = MonitorServer(
+                    service, ServerConfig(host="127.0.0.1", port=port)
+                )
+                await server.start()
+                return await asyncio.wait_for(client.ping(), 5)
+            finally:
+                await client.close()
+                await server.stop()
+
+        assert asyncio.run(drive())["domain"] == "synthetic"
+
+    def test_plain_client_fails_fast_once_the_server_hung_up(self):
+        async def drive():
+            async with serving(MonitorService(SyntheticDomain())) as (
+                server,
+                connect,
+            ):
+                client = await connect()
+                await client.ping()
+                await server.stop()
+                while client.connected:
+                    await asyncio.sleep(0.005)
+                with pytest.raises(ConnectionError):
+                    client.submit("ping")
+
+        asyncio.run(asyncio.wait_for(drive(), 5))
 
     def test_service_errors_are_not_retried(self):
         async def drive():
