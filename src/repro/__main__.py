@@ -60,14 +60,8 @@ import dataclasses
 import json
 import sys
 
-from repro.experiments import list_experiments, run_experiment
-from repro.experiments.reporting import (
-    format_table,
-    from_jsonable,
-    render_result,
-    to_jsonable,
-)
-from repro.experiments.runner import get_experiment, load_cached
+from repro.utils.codec import from_jsonable, to_jsonable
+from repro.utils.tables import format_table
 
 
 def _parse_value(text: str):
@@ -113,6 +107,8 @@ def _config_overrides(spec, args, *, strict: bool = True) -> dict:
 
 
 def _cmd_list(args) -> int:
+    from repro.experiments import list_experiments
+
     specs = list_experiments()
     if args.json:
         payload = [
@@ -137,6 +133,10 @@ def _cmd_list(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    from repro.experiments import list_experiments, run_experiment
+    from repro.experiments.reporting import render_result
+    from repro.experiments.runner import get_experiment
+
     if args.all:
         if args.names:
             raise SystemExit("error: give experiment names or --all, not both")
@@ -195,6 +195,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from repro.experiments import list_experiments
+    from repro.experiments.reporting import render_result
+    from repro.experiments.runner import get_experiment, load_cached
+
     names = args.names or [spec.name for spec in list_experiments()]
     for name in names:  # validate everything before rendering anything
         try:

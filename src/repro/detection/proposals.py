@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from repro.geometry.box2d import Box2D
 
@@ -42,6 +41,8 @@ def generate_proposals_flagged(
     :class:`~repro.geometry.box2d.Box2D` plus a parallel boolean array
     marking the redundant split sub-boxes. Deterministic given the image.
     """
+    from scipy import ndimage
+
     cfg = config if config is not None else ProposalConfig()
     img = np.asarray(image, dtype=np.float64)
     if img.ndim != 2:

@@ -97,14 +97,23 @@ class FleetManager:
     def start(self) -> dict:
         """Spawn every worker; returns ``{name: ShardSpec}`` once all are
         listening. Any worker that dies (or stays silent past
-        ``ready_timeout``) aborts the whole start with its log tail."""
+        ``ready_timeout``) aborts the whole start with its log tail, after
+        every worker already spawned has been killed and reaped."""
         if self._procs:
             raise RuntimeError("fleet already started")
         os.makedirs(self.workdir, exist_ok=True)
-        for name in self.names:
-            self._spawn(name)
-        for name in self.names:
-            self._specs[name] = self._await_ready(name)
+        try:
+            for name in self.names:
+                self._spawn(name)
+            for name in self.names:
+                self._specs[name] = self._await_ready(name)
+        except BaseException:
+            for proc in self._procs.values():
+                proc.kill()  # a no-op for a worker that already exited
+                proc.wait()
+            self._procs.clear()
+            self._specs.clear()
+            raise
         return dict(self._specs)
 
     def _spawn(self, name: str) -> None:

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 
 @dataclass(frozen=True)
@@ -58,6 +57,8 @@ def cluster_points(points: np.ndarray, grid: "BEVGrid | None" = None) -> list:
     points are binned into cells; 8-connected occupied cells form
     clusters. Deterministic.
     """
+    from scipy import ndimage
+
     grid = grid if grid is not None else BEVGrid()
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3:

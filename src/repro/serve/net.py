@@ -6,7 +6,7 @@ JSON over TCP (framing in :mod:`repro.utils.framing`), one request
 document per line, one response document per request.
 
 The transport is callback-driven: one :class:`_Connection`
-(an :class:`asyncio.Protocol`) per socket, shared by
+(an :class:`asyncio.BufferedProtocol`) per socket, shared by
 :class:`MonitorServer`, the fleet router and :class:`ServiceClient`. It
 hands each complete line to its owner as it arrives and writes each
 response straight to the socket — no reader loop, writer queue or
@@ -87,6 +87,10 @@ PROTOCOL_VERSION = 1
 #: Slack over ``max_frame_bytes`` that a line may reach before the
 #: stream counts as unsynchronisable (answered once, then hung up).
 _READ_SLACK = 1024
+
+#: Size of each connection's reusable receive buffer: the most bytes
+#: asyncio's selector transport reads per ``recv`` into a fresh buffer.
+_RECV_BUFFER_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -184,10 +188,15 @@ class ServerStats:
         }
 
 
-class _Connection(asyncio.Protocol):
+class _Connection(asyncio.BufferedProtocol):
     """One NDJSON connection, driven by the event loop's callbacks.
 
-    ``data_received`` cuts complete lines out of the byte stream and
+    Reads land in one ``bytearray`` of :data:`_RECV_BUFFER_BYTES`
+    allocated with the connection: the transport receives into it
+    (:meth:`get_buffer`) instead of allocating a fresh buffer per read,
+    and :meth:`buffer_updated` copies out only the bytes that arrived.
+    No line or held partial aliases the reused buffer. The copy goes to
+    ``_cut_lines``, which cuts complete lines out of the byte stream and
     hands each one to ``owner._handle_line(line, conn)``, with no await
     in between; :meth:`send` writes one encoded frame straight to the
     transport. The owner — a :class:`MonitorServer`, a fleet router or a
@@ -212,6 +221,7 @@ class _Connection(asyncio.Protocol):
         self._reading = True
         self._eof = False
         self._lost = asyncio.get_running_loop().create_future()
+        self._recv = memoryview(bytearray(_RECV_BUFFER_BYTES))
         self.transport: "asyncio.Transport | None" = None
 
     @property
@@ -222,7 +232,13 @@ class _Connection(asyncio.Protocol):
         self.transport = transport
         self._owner._connection_made(self)
 
-    def data_received(self, data: bytes) -> None:
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self._recv
+
+    def buffer_updated(self, nbytes: int) -> None:
+        self._cut_lines(bytes(self._recv[:nbytes]))
+
+    def _cut_lines(self, data: bytes) -> None:
         if self._partial:
             if b"\n" not in data:
                 self._hold(data)

@@ -10,7 +10,6 @@ deep detector does on video: contrast, size, occlusion, and clutter.
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
 
 from repro.geometry.box2d import Box2D
 
@@ -28,6 +27,8 @@ def smooth_noise(
     White noise of standard deviation ``sigma`` blurred with a Gaussian of
     width ``scale`` pixels, renormalized to keep its amplitude.
     """
+    from scipy import ndimage
+
     noise = rng.normal(0.0, sigma, size=(height, width))
     smoothed = ndimage.gaussian_filter(noise, sigma=scale)
     std = smoothed.std()
@@ -97,6 +98,8 @@ def finalize(
     image: np.ndarray, rng: np.random.Generator, *, noise_sigma: float, blur: float = 0.6
 ) -> np.ndarray:
     """Sensor model: slight optical blur, additive noise, clip to [0, 1]."""
+    from scipy import ndimage
+
     out = ndimage.gaussian_filter(image, sigma=blur) if blur > 0 else image
     if noise_sigma > 0:
         out = out + rng.normal(0.0, noise_sigma, size=out.shape)

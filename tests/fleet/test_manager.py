@@ -69,3 +69,20 @@ class TestWorkerLifecycle:
         assert "before becoming ready" in message
         # the worker's own traceback is surfaced, naming the bad domain
         assert "no-such-domain" in message
+
+    def test_failed_start_reaps_every_spawned_worker(self, tmp_path):
+        manager = FleetManager("tvnews", 2, workdir=str(tmp_path), ready_timeout=0.05)
+        spawned = []
+        spawn = manager._spawn
+
+        def recording_spawn(name):
+            spawn(name)
+            spawned.append(manager._procs[name])
+
+        manager._spawn = recording_spawn
+        with pytest.raises(RuntimeError, match="did not become ready"):
+            manager.start()
+        assert len(spawned) == 2
+        # no `stop()` needed: the failed start already killed and reaped them
+        assert all(proc.returncode is not None for proc in spawned)
+        assert manager.poll() == {}

@@ -1,6 +1,7 @@
 """The NDJSON transport shared by MonitorServer and FleetRouter, seen
 from a raw socket: how lines are cut out of the byte stream (split,
-coalesced, oversize and unsynchronisable frames) and what a client that
+coalesced, larger than the receive buffer, oversize and
+unsynchronisable frames) and what a client that
 half-closes its end gets back. Every test runs against a single server
 and against a 2-shard router."""
 
@@ -22,17 +23,22 @@ from tests.serve.test_service import SyntheticDomain, raw_units
 FRAME_BOUND = 512
 READ_BOUND = FRAME_BOUND + 1024
 
+#: A bound for frames that span several fills of a connection's
+#: 256 KiB receive buffer: a ~1 MiB request fits under it.
+LARGE_BOUND = 1024 * 1024 + 4096
+
 KINDS = ["server", "router"]
 
 
 @contextlib.asynccontextmanager
-async def endpoint(kind, **server_knobs):
+async def endpoint(kind, frame_bound=FRAME_BOUND, **server_knobs):
     """``(host, port)`` of a started server, or of a router in front of
-    two shards; ``server_knobs`` configure the server(s) that ingest."""
+    two shards, reading frames up to ``frame_bound`` bytes;
+    ``server_knobs`` configure the server(s) that ingest."""
     if kind == "server":
         server = MonitorServer(
             MonitorService(SyntheticDomain()),
-            ServerConfig(max_frame_bytes=FRAME_BOUND, **server_knobs),
+            ServerConfig(max_frame_bytes=frame_bound, **server_knobs),
         )
         await server.start()
         try:
@@ -40,7 +46,7 @@ async def endpoint(kind, **server_knobs):
         finally:
             await server.stop()
     else:
-        config = RouterConfig(max_frame_bytes=FRAME_BOUND)
+        config = RouterConfig(max_frame_bytes=frame_bound)
         async with sharded(config=config, **server_knobs) as (router, _s, _c):
             yield router.host, router.port
 
@@ -73,6 +79,13 @@ def ingest_frame(request_id, stream_id, raw) -> bytes:
     )
 
 
+def chunked(data: bytes, size) -> list:
+    """``data`` as one write (``size=None``) or in ``size``-byte pieces."""
+    if size is None:
+        return [data]
+    return [data[i : i + size] for i in range(0, len(data), size)]
+
+
 @pytest.mark.parametrize("kind", KINDS)
 class TestLineSplitting:
     def test_split_and_coalesced_frames_decode_like_whole_ones(self, kind):
@@ -103,16 +116,43 @@ class TestLineSplitting:
         assert json.dumps(split).replace('"bytes"', '"S"') == normalised
         assert json.dumps(joined).replace('"joined"', '"S"') == normalised
 
-    def test_oversize_frame_is_answered_and_the_connection_stays_usable(
-        self, kind
+    @pytest.mark.parametrize("size", [None, 100_003, 300_007])
+    def test_frame_spanning_receive_buffer_fills_is_answered_once(
+        self, kind, size
     ):
-        oversize = b'{"op": "ping", "pad": "' + b"x" * FRAME_BOUND + b'"}\n'
-        assert FRAME_BOUND < len(oversize) <= READ_BOUND
+        """A ~1 MiB ping, written whole or in odd-sized pieces, takes
+        several fills of the 256 KiB receive buffer to arrive."""
+        large = encode_frame({"op": "ping", "id": "large", "pad": "x" * 2**20})
+        assert 2**20 < len(large) <= LARGE_BOUND
 
         async def drive():
-            async with endpoint(kind) as (host, port):
+            async with endpoint(kind, frame_bound=LARGE_BOUND) as (host, port):
                 return await exchange(
-                    host, port, [oversize, encode_frame({"op": "ping", "id": 7})]
+                    host,
+                    port,
+                    chunked(large + encode_frame({"op": "ping", "id": 7}), size),
+                    pace=True,
+                )
+
+        responses = asyncio.run(drive())
+        assert [(r["id"], r["ok"]) for r in responses] == [("large", True), (7, True)]
+
+    @pytest.mark.parametrize(
+        "bound, size", [(FRAME_BOUND, None), (LARGE_BOUND, 100_003)]
+    )
+    def test_oversize_frame_is_answered_and_the_connection_stays_usable(
+        self, kind, bound, size
+    ):
+        oversize = b'{"op": "ping", "pad": "' + b"x" * bound + b'"}\n'
+        assert bound < len(oversize) <= bound + 1024
+
+        async def drive():
+            async with endpoint(kind, frame_bound=bound) as (host, port):
+                return await exchange(
+                    host,
+                    port,
+                    chunked(oversize, size) + [encode_frame({"op": "ping", "id": 7})],
+                    pace=size is not None,
                 )
 
         bad, pong = asyncio.run(drive())
