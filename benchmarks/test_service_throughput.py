@@ -9,7 +9,7 @@ rather than detector inference):
 - **solo**: N separate single-stream services, each ingesting its feed
   end to end (the per-stream baseline);
 - **interleaved**: one service, round-robin ``ingest_batch`` with the
-  thread fan-out (the deployment path).
+  thread fan-out (``ServiceConfig(parallel=True)``).
 
 Asserted: per-stream reports from the interleaved run equal the solo
 runs bit-for-bit, and interleaved throughput stays within 2× of the solo

@@ -6,7 +6,7 @@ traffic. This example puts both together on the TV-news domain (chosen
 because its "model" is precomputed — no training, instant startup):
 
 1. four independent news feeds stream scenes into one service,
-   interleaved, with the batch ingest fanning streams across threads;
+   interleaved, one batch ingest per round;
 2. assertion fires route to a corrective-action hook tagged with the
    stream they came from;
 3. the whole fleet is checkpointed to JSON mid-run, restored into a
@@ -22,7 +22,7 @@ import json
 
 import numpy as np
 
-from repro.serve import MonitorService, ServiceConfig
+from repro.serve import MonitorService
 
 N_STREAMS = 4
 ROUNDS_BEFORE_SNAPSHOT = 6
@@ -30,7 +30,7 @@ ROUNDS_AFTER_SNAPSHOT = 6
 
 
 def main() -> None:
-    service = MonitorService("tvnews", config=ServiceConfig(parallel=True))
+    service = MonitorService("tvnews")
     domain = service.domain
 
     fires = []

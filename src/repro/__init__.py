@@ -47,12 +47,11 @@ dispatches each invocation through stateful per-assertion streaming
 evaluators (:mod:`repro.core.streaming`) — deque-based rolling windows
 for windowed function assertions, per-identifier aggregates for
 consistency assertions — so one observation costs O(assertions)
-amortized instead of the legacy O(window × assertions) replay (~9×
-items/sec at ``window_size=64`` with 8 assertions; see
-``benchmarks/test_streaming_throughput.py``). For chunked feeds,
+amortized instead of the O(window × assertions) cost of replaying the
+trailing window (~9× items/sec at ``window_size=64`` with 8 assertions;
+see ``benchmarks/test_streaming_throughput.py``). For chunked feeds,
 :meth:`~repro.core.runtime.OMG.observe_batch` ingests many items per
-call and returns the chunk's severity matrix; ``parallel=True`` streams
-independent assertions on a thread pool. Severity attribution is
+call and returns the chunk's severity matrix. Severity attribution is
 revisable — a flicker is flagged on the gap items once the object
 reappears — and :meth:`~repro.core.runtime.OMG.online_report` is
 guaranteed to equal an offline :meth:`~repro.core.runtime.OMG.monitor`
@@ -67,7 +66,7 @@ contract (``build_monitor`` / ``build_world`` / ``iter_stream`` /
 ``item_from_raw``), resolved by name through
 :func:`~repro.domains.registry.get_domain`.
 :class:`~repro.serve.MonitorService` serves many keyed streams of a
-domain at once — batched thread fan-out, LRU/TTL session eviction,
+domain at once — batched ingest, LRU/TTL session eviction,
 per-stream and fleet-aggregate reports, ``on_fire`` routing with stream
 provenance, and bit-exact JSON snapshot/restore of the whole fleet
 (``python -m repro stream DOMAIN --streams N --items M

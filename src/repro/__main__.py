@@ -400,15 +400,67 @@ def _cmd_assertions(args) -> int:
     return 0
 
 
+def _check_domain(name: str) -> None:
+    """Exit with the CLI error unless ``name`` is a registered domain."""
+    from repro.domains.registry import domain_names
+
+    if name not in domain_names():
+        raise SystemExit(
+            f"error: unknown domain {name!r}; "
+            f"registered domains: {', '.join(domain_names())}"
+        )
+
+
+def _check_pinned_suite(args, suite, payload: dict) -> None:
+    """Reject a ``--suite`` other than the one the fleet snapshot pins.
+
+    The snapshot pins the fleet's suite like seed/streams: a different
+    ``--suite`` would silently reconfigure the resumed fleet (that is
+    apply_suite's job, not resume's).
+    """
+    if not args.suite:
+        return
+    pinned = payload.get("suite")
+    if pinned is not None:
+        pinned = from_jsonable(pinned)
+    if pinned != suite:
+        raise SystemExit(
+            f"error: --suite {args.suite} conflicts with the snapshot "
+            f"({args.snapshot} was written with a different assertion "
+            "suite); drop the flag to resume, or delete the snapshot "
+            "to start over"
+        )
+
+
+def _stop_on_signals():
+    """An ``asyncio.Event`` set on SIGINT/SIGTERM, for the running loop.
+
+    Explicit handlers, not KeyboardInterrupt: a server launched as a
+    shell background job inherits SIGINT ignored, and SIGTERM would
+    otherwise kill it before the shutdown snapshot.
+    """
+    import asyncio
+    import signal
+
+    stop = asyncio.Event()
+    loop = asyncio.get_running_loop()
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        try:
+            loop.add_signal_handler(signum, stop.set)
+        except (NotImplementedError, RuntimeError):  # pragma: no cover
+            pass  # e.g. non-main thread / platforms without support
+    return stop
+
+
 def _cmd_stream(args) -> int:
     """Serve ``--streams`` interleaved monitored streams of one domain.
 
     Each stream gets its own seeded world; every round ingests one raw
-    unit per stream through :meth:`MonitorService.ingest_batch` (thread
-    fan-out unless ``--serial``). With ``--snapshot PATH``: an existing
-    file is restored first (the fleet resumes where it checkpointed —
-    each stream's world is fast-forwarded by replaying the units already
-    consumed), and the final state is written back to PATH. The replay
+    unit per stream through :meth:`MonitorService.ingest_batch`. With
+    ``--snapshot PATH``: an existing file is restored first (the fleet
+    resumes where it checkpointed — each stream's world is fast-forwarded
+    by replaying the units already consumed), and the final state is
+    written back to PATH. The replay
     makes resume cost linear in a stream's total history (including
     model inference for av/video); snapshotting world RNG state for an
     O(1) resume is future work.
@@ -416,15 +468,10 @@ def _cmd_stream(args) -> int:
     import os
 
     from repro.core.seeding import derive_seed
-    from repro.domains.registry import domain_names
-    from repro.serve import MonitorService, ServiceConfig
+    from repro.serve import MonitorService
     from repro.serve.snapshot import load_snapshot_payload, save_service_snapshot
 
-    if args.domain not in domain_names():
-        raise SystemExit(
-            f"error: unknown domain {args.domain!r}; "
-            f"registered domains: {', '.join(domain_names())}"
-        )
+    _check_domain(args.domain)
     if args.streams is not None and args.streams < 1:
         raise SystemExit("error: --streams must be >= 1")
     if args.items < 1:
@@ -432,11 +479,7 @@ def _cmd_stream(args) -> int:
 
     suite = _resolve_suite(args.suite) if args.suite else None
     try:
-        service = MonitorService(
-            args.domain,
-            config=ServiceConfig(parallel=not args.serial),
-            suite=suite,
-        )
+        service = MonitorService(args.domain, suite=suite)
     except ValueError as exc:
         raise SystemExit(f"error: {exc}") from None
     seed = args.seed if args.seed is not None else 0
@@ -448,22 +491,7 @@ def _cmd_stream(args) -> int:
             service.restore(payload)
         except ValueError as exc:
             raise SystemExit(f"error: {exc}") from None
-        if args.suite:
-            # The snapshot pins the fleet's suite like seed/streams: a
-            # different --suite would silently reconfigure the resumed
-            # fleet (that is apply_suite's job, not resume's).
-            pinned = (
-                from_jsonable(payload["suite"])
-                if payload.get("suite") is not None
-                else None
-            )
-            if pinned != suite:
-                raise SystemExit(
-                    f"error: --suite {args.suite} conflicts with the snapshot "
-                    f"({args.snapshot} was written with a different assertion "
-                    "suite); drop the flag to resume, or delete the snapshot "
-                    "to start over"
-                )
+        _check_pinned_suite(args, suite, payload)
         provenance = payload.get("cli")
         if provenance is None:
             # Library-written snapshots carry no world seeds, so the CLI
@@ -534,10 +562,9 @@ def _cmd_stream(args) -> int:
             )
         )
     else:
-        mode = "serial" if args.serial else "interleaved, thread fan-out"
         print(
             f"[{args.domain}] {n_streams} stream(s) × {args.items} raw unit(s)"
-            f" this run (seed {seed}, {mode})"
+            f" this run (seed {seed}, interleaved)"
             + (" — resumed from snapshot" if resumed else "")
         )
         print(fleet.format_table())
@@ -571,18 +598,12 @@ def _cmd_serve(args) -> int:
     """
     import asyncio
     import os
-    import signal
 
-    from repro.domains.registry import domain_names
     from repro.serve import MonitorServer, MonitorService, ServerConfig
     from repro.serve.snapshot import load_snapshot_payload, save_service_snapshot
     from repro.utils.io import atomic_write_json
 
-    if args.domain not in domain_names():
-        raise SystemExit(
-            f"error: unknown domain {args.domain!r}; "
-            f"registered domains: {', '.join(domain_names())}"
-        )
+    _check_domain(args.domain)
     suite = _resolve_suite(args.suite) if args.suite else None
     try:
         service = MonitorService(args.domain, suite=suite)
@@ -603,37 +624,13 @@ def _cmd_serve(args) -> int:
             service.restore(payload)
         except ValueError as exc:
             raise SystemExit(f"error: {exc}") from None
-        if args.suite:
-            # Like `stream`: the snapshot pins the fleet's suite; a
-            # different --suite would silently reconfigure the resumed
-            # fleet (that is apply_suite's job, not resume's).
-            pinned = (
-                from_jsonable(payload["suite"])
-                if payload.get("suite") is not None
-                else None
-            )
-            if pinned != suite:
-                raise SystemExit(
-                    f"error: --suite {args.suite} conflicts with the snapshot "
-                    f"({args.snapshot} was written with a different assertion "
-                    "suite); drop the flag to resume, or delete the snapshot "
-                    "to start over"
-                )
+        _check_pinned_suite(args, suite, payload)
         restored = len(service)
 
     async def _main() -> None:
         server = MonitorServer(service, config)
         await server.start()
-        # Explicit handlers, not KeyboardInterrupt: a server launched as
-        # a shell background job inherits SIGINT ignored, and SIGTERM
-        # would otherwise kill us before the shutdown snapshot.
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(signum, stop.set)
-            except (NotImplementedError, RuntimeError):  # pragma: no cover
-                pass  # e.g. non-main thread / platforms without support
+        stop = _stop_on_signals()
         print(
             f"[{args.domain}] serving on {server.host}:{server.port}"
             + (f" — {restored} stream(s) restored from {args.snapshot}"
@@ -694,10 +691,8 @@ def _cmd_fleet(args) -> int:
     """
     import asyncio
     import os
-    import signal
     import tempfile
 
-    from repro.domains.registry import domain_names
     from repro.fleet.manager import FleetManager
     from repro.fleet.router import FleetRouter, RouterConfig
     from repro.fleet.snapshot import (
@@ -707,11 +702,7 @@ def _cmd_fleet(args) -> int:
     )
     from repro.utils.io import atomic_write_json
 
-    if args.domain not in domain_names():
-        raise SystemExit(
-            f"error: unknown domain {args.domain!r}; "
-            f"registered domains: {', '.join(domain_names())}"
-        )
+    _check_domain(args.domain)
     if args.shards < 1:
         raise SystemExit("error: --shards must be >= 1")
 
@@ -757,13 +748,7 @@ def _cmd_fleet(args) -> int:
                 f"{n_streams} stream(s) restored from {args.snapshot}",
                 flush=True,
             )
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(signum, stop.set)
-            except (NotImplementedError, RuntimeError):  # pragma: no cover
-                pass
+        stop = _stop_on_signals()
         print(
             f"[{args.domain}] fleet of {args.shards} shard(s) on "
             f"{router.host}:{router.port} "
@@ -810,14 +795,9 @@ def _cmd_fleet(args) -> int:
 
 def _cmd_loadtest(args) -> int:
     """Saturation sweep against a self-hosted server; writes BENCH_serve.json."""
-    from repro.domains.registry import domain_names
     from repro.serve import LoadTestConfig, run_loadtest, write_bench
 
-    if args.domain not in domain_names():
-        raise SystemExit(
-            f"error: unknown domain {args.domain!r}; "
-            f"registered domains: {', '.join(domain_names())}"
-        )
+    _check_domain(args.domain)
     try:
         config = LoadTestConfig(
             domain=args.domain,
@@ -871,15 +851,10 @@ def _cmd_improve(args) -> int:
     """
     import os
 
-    from repro.domains.registry import domain_names
     from repro.improve import ImproveConfig, ImprovementLoop
     from repro.improve.snapshot import load_loop_payload, save_loop_snapshot
 
-    if args.domain not in domain_names():
-        raise SystemExit(
-            f"error: unknown domain {args.domain!r}; "
-            f"registered domains: {', '.join(domain_names())}"
-        )
+    _check_domain(args.domain)
 
     resumed = False
     if args.snapshot and os.path.exists(args.snapshot):
@@ -948,7 +923,10 @@ def _cmd_improve(args) -> int:
             config = ImproveConfig(domain=args.domain, **overrides)
         except ValueError as exc:
             raise SystemExit(f"error: {exc}") from None
-        loop = ImprovementLoop(config)
+        try:
+            loop = ImprovementLoop(config)
+        except NotImplementedError as exc:  # a domain with no retrainable model
+            raise SystemExit(f"error: {exc}") from None
 
     n_rounds = args.rounds if args.rounds is not None else loop.config.n_rounds
     with loop:
@@ -1082,8 +1060,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "(a domain name or a suite JSON file; pinned by --snapshot on resume)")
     p_stream.add_argument("--snapshot", default=None, metavar="PATH",
                           help="checkpoint file: restored first if it exists, written on exit")
-    p_stream.add_argument("--serial", action="store_true",
-                          help="disable the ingest_batch thread fan-out")
     p_stream.add_argument("--json", action="store_true", help="machine-readable output")
     p_stream.set_defaults(fn=_cmd_stream)
 

@@ -33,7 +33,7 @@ from repro.core.consistency import (
     majority_value,
 )
 from repro.core.database import AssertionDatabase, AssertionEntry
-from repro.core.runtime import ENGINES, OMG, MonitoringReport
+from repro.core.runtime import OMG, MonitoringReport
 from repro.core.seeding import derive_rng, derive_seed, spawn_seeds
 from repro.core.spec import (
     AssertionSuite,
@@ -129,7 +129,6 @@ __all__ = [
     "ConsistencyIndex",
     "ConsistencySpec",
     "Correction",
-    "ENGINES",
     "FunctionAssertion",
     "ModelAssertion",
     "MonitoringReport",

@@ -11,7 +11,7 @@ This module provides both deployment styles the paper describes:
   ones, e.g. a flicker only detectable once the object reappears — and
   invokes any registered corrective-action callbacks (e.g., "shutting
   down an autopilot", §1). Cost is O(assertions) amortized per item
-  instead of the legacy O(window × assertions) replay.
+  instead of an O(window × assertions) replay of the trailing window.
 - **offline/batch**: call :meth:`OMG.monitor` on a full stream
   (historical data, validation sets, human labels) to get a
   :class:`MonitoringReport` whose per-item severity matrix is exactly the
@@ -24,7 +24,7 @@ enforced by ``tests/core/test_streaming_equivalence.py``). The guarantee
 covers the built-in assertion families — function assertions (any
 window), attribute/temporal consistency assertions, and anything
 exposing ``evaluate_item``; a custom :class:`ModelAssertion` subclass
-with none of those streaming forms falls back to legacy windowed replay
+with none of those streaming forms falls back to windowed replay
 (newest-item severity over the bounded history), which may differ from
 a full offline pass.
 """
@@ -112,13 +112,6 @@ class MonitoringReport:
         return int(np.count_nonzero(self.severities > 0))
 
 
-#: Engines selectable at construction. "streaming" is the default
-#: incremental path; "legacy" re-evaluates every assertion over the full
-#: history window per observation (kept for differential testing and the
-#: throughput benchmark's baseline).
-ENGINES = ("streaming", "legacy")
-
-
 class OMG:
     """The model-assertion runtime.
 
@@ -127,16 +120,11 @@ class OMG:
     database:
         Shared assertion registry; a fresh one is created when omitted.
     window_size:
-        Bound on the trailing history kept for window-replay evaluation
-        (the legacy engine, and streaming fallbacks for assertion types
-        with no incremental form). Streaming consistency evaluators keep
+        Bound on the trailing history kept for warming up late-registered
+        assertions and for the window-replay fallback of assertion types
+        with no incremental form. Streaming consistency evaluators keep
         per-identifier aggregates since the last :meth:`reset` instead,
         so their online severities match the offline monitor exactly.
-    engine:
-        ``"streaming"`` (default) or ``"legacy"``; see :data:`ENGINES`.
-    max_workers:
-        Thread-pool width for ``observe_batch(..., parallel=True)``;
-        ``None`` lets the executor pick.
 
     Examples
     --------
@@ -154,25 +142,18 @@ class OMG:
         database: "AssertionDatabase | None" = None,
         *,
         window_size: int = 64,
-        engine: str = "streaming",
-        max_workers: "int | None" = None,
     ) -> None:
         if window_size < 1:
             raise ValueError(f"window_size must be >= 1, got {window_size}")
-        if engine not in ENGINES:
-            raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
         self.database = database if database is not None else AssertionDatabase()
         self.window_size = window_size
-        self.engine = engine
         self._history: deque = deque(maxlen=window_size)
         self._next_index = 0
         self._online_records: list = []
         self._actions: list = []
         # The engine shares OMG's history deque as its recent-item window,
         # so observed items are retained once, not twice.
-        self._streaming = StreamingEngine(
-            self.database, window_size, max_workers=max_workers, recent=self._history
-        )
+        self._streaming = StreamingEngine(self.database, window_size, recent=self._history)
 
     # ------------------------------------------------------------------
     # Registration
@@ -243,8 +224,7 @@ class OMG:
         a :class:`~repro.improve.fires.FireStore`) are untouched.
         """
         self.database.remove(name)
-        if self.engine != "legacy":
-            self._streaming.discard(name)
+        self._streaming.discard(name)
 
     @property
     def suite(self):
@@ -270,13 +250,10 @@ class OMG:
           them (the serving layer's ``FireStore``).
 
         Returns ``{"added": [...], "removed": [...], "kept": [...],
-        "replaced": [...]}`` of assertion names. Only available on the
-        streaming engine. Call at an item boundary (the serving layer's
-        :meth:`~repro.serve.MonitorService.apply_suite` enforces a
-        raw-unit boundary fleet-wide).
+        "replaced": [...]}`` of assertion names. Call at an item boundary
+        (the serving layer's :meth:`~repro.serve.MonitorService.apply_suite`
+        enforces a raw-unit boundary fleet-wide).
         """
-        if self.engine == "legacy":
-            raise RuntimeError("apply_suite requires the streaming engine")
         from repro.core.spec import compile_suite
 
         new_db = compile_suite(suite)
@@ -348,24 +325,6 @@ class OMG:
             for action in self._actions:
                 action(record)
 
-    def _observe_legacy(self, item: StreamItem) -> list:
-        self._history.append(item)
-        fresh: list = []
-        window = list(self._history)
-        last = len(window) - 1
-        for assertion in self.database:
-            severities = assertion.evaluate_stream(window)
-            severity = float(severities[last])
-            if severity > 0:
-                fresh.append(
-                    AssertionRecord(
-                        assertion_name=assertion.name,
-                        item_index=item.index,
-                        severity=severity,
-                    )
-                )
-        return fresh
-
     def observe(
         self,
         model_input: Any,
@@ -375,18 +334,14 @@ class OMG:
     ) -> list:
         """Ingest one model invocation; return fresh fire records.
 
-        On the streaming engine each assertion's evaluator consumes the
-        item incrementally; returned records cover the new item plus any
+        Each assertion's evaluator consumes the item incrementally; returned records cover the new item plus any
         retroactive severity revisions to earlier items (consistency
         assertions attribute gap/run violations once the closing
         transition is seen). Every returned record is also dispatched to
         :meth:`on_fire` callbacks.
         """
         item = self._make_item(model_input, outputs, timestamp)
-        if self.engine == "legacy":
-            fresh = self._observe_legacy(item)
-        else:
-            fresh = self._streaming.ingest(item)  # appends to the shared history
+        fresh = self._streaming.ingest(item)  # appends to the shared history
         self._dispatch(fresh)
         return fresh
 
@@ -396,7 +351,6 @@ class OMG:
         outputs_per_item: list,
         *,
         timestamps=None,
-        parallel: bool = False,
     ) -> MonitoringReport:
         """Ingest a chunk of invocations; return the chunk's report.
 
@@ -404,14 +358,8 @@ class OMG:
         (rows in chunk order) with severities as of the end of the chunk,
         so within-chunk retroactive revisions are already folded in.
         ``report.records`` holds the fresh fire records, which may also
-        reference pre-chunk items. With ``parallel=True`` independent
-        assertions consume the chunk on separate threads (results are
-        bit-identical to the serial path).
-
-        Only available on the streaming engine.
+        reference pre-chunk items.
         """
-        if self.engine == "legacy":
-            raise RuntimeError("observe_batch requires the streaming engine")
         n = len(outputs_per_item)
         if model_inputs is not None and len(model_inputs) != n:
             raise ValueError(f"{len(model_inputs)} inputs but {n} output lists")
@@ -425,7 +373,7 @@ class OMG:
             )
             for i in range(n)
         ]
-        fresh = self._streaming.ingest_batch(items, parallel=parallel)
+        fresh = self._streaming.ingest_batch(items)
         self._dispatch(fresh)
         start = items[0].index if items else self._next_index
         names, chunk = self._streaming.chunk_matrix(start, self._next_index)
@@ -450,12 +398,8 @@ class OMG:
         computes offline over the same items for every assertion with a
         streaming form (function, consistency, or ``evaluate_item``; the
         streaming-equivalence invariant). Custom assertion subclasses
-        with none of those fall back to newest-item windowed replay, as
-        the legacy engine always did. Only available on the streaming
-        engine.
+        with none of those fall back to newest-item windowed replay.
         """
-        if self.engine == "legacy":
-            raise RuntimeError("online_report requires the streaming engine")
         names, matrix = self._streaming.severity_matrix(self._next_index)
         records = [
             AssertionRecord(
@@ -494,10 +438,8 @@ class OMG:
         Stream items must hold codec-encodable inputs/outputs (the
         built-in domains' outputs all are); corrective-action callbacks
         are not part of the payload and must be re-registered by the
-        owner. Only available on the streaming engine.
+        owner.
         """
-        if self.engine == "legacy":
-            raise RuntimeError("snapshot requires the streaming engine")
         payload = {
             "format": SNAPSHOT_FORMAT,
             "window_size": self.window_size,
@@ -521,8 +463,6 @@ class OMG:
         names in the same order (build it the same way — e.g. via the
         same :class:`~repro.domains.registry.Domain` — then restore).
         """
-        if self.engine == "legacy":
-            raise RuntimeError("restore requires the streaming engine")
         fmt = snapshot.get("format")
         if fmt != SNAPSHOT_FORMAT:
             raise ValueError(
@@ -551,7 +491,7 @@ class OMG:
         self._streaming.set_state(snapshot["streaming"])
 
     @classmethod
-    def from_snapshot(cls, snapshot: dict, *, max_workers: "int | None" = None) -> "OMG":
+    def from_snapshot(cls, snapshot: dict) -> "OMG":
         """Rebuild a runtime entirely from a snapshot payload.
 
         Requires the payload to embed a declarative suite (snapshots of
@@ -563,7 +503,7 @@ class OMG:
                 "snapshot embeds no assertion suite; rebuild the runtime "
                 "the way it was built, then call restore()"
             )
-        omg = cls(window_size=int(snapshot["window_size"]), max_workers=max_workers)
+        omg = cls(window_size=int(snapshot["window_size"]))
         omg.restore(snapshot)
         return omg
 

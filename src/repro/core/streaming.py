@@ -1,10 +1,10 @@
 """Incremental streaming evaluation for the OMG runtime.
 
-The legacy :meth:`OMG.observe` path re-ran every registered assertion over
-the *entire* trailing history window on *every* invocation — O(window ×
-assertions) work per item. This module provides stateful per-assertion
-evaluators that consume items one at a time and maintain rolling state,
-so each observation costs O(assertions) amortized:
+Re-running every registered assertion over the *entire* trailing history
+window on *every* invocation costs O(window × assertions) work per item.
+This module provides stateful per-assertion evaluators that consume items
+one at a time and maintain rolling state, so each observation costs
+O(assertions) amortized:
 
 - :class:`PerItemEvaluator` — assertions whose severity for an item
   depends on that item alone (``FunctionAssertion(window=1)`` and any
@@ -22,8 +22,8 @@ so each observation costs O(assertions) amortized:
   emits retroactive severities for gap/run violations the moment the
   closing transition is observed.
 - :class:`WindowedReplayEvaluator` — fallback for arbitrary assertion
-  subclasses with no streaming form: exact legacy semantics (re-evaluate
-  over the bounded history window, record the newest position).
+  subclasses with no streaming form: re-evaluate over the bounded history
+  window, record the newest position.
 
 The engine's invariant — enforced by
 ``tests/core/test_streaming_equivalence.py`` — is that after any stream
@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import abc
 from collections import Counter, deque
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any
 
 import numpy as np
@@ -168,11 +167,11 @@ class RollingWindowEvaluator(StreamingEvaluator):
 
 
 class WindowedReplayEvaluator(StreamingEvaluator):
-    """Legacy fallback: re-evaluate the full window, keep the newest score.
+    """Fallback: re-evaluate the full window, keep the newest score.
 
     Used for arbitrary :class:`ModelAssertion` subclasses that offer
     neither ``evaluate_item`` nor a dedicated streaming form. Costs
-    O(window) per item — exactly the legacy ``observe`` semantics.
+    O(window) per item.
     """
 
     def __init__(self, assertion: ModelAssertion, window_size: int) -> None:
@@ -475,7 +474,7 @@ def make_evaluator(assertion: ModelAssertion, window_size: int) -> StreamingEval
 
     Dispatch order: dedicated consistency evaluators, rolling/per-item
     function evaluators, any ``evaluate_item`` hook on custom subclasses,
-    then the legacy windowed-replay fallback.
+    then the windowed-replay fallback.
     """
     if isinstance(assertion, AttributeConsistencyAssertion):
         return AttributeConsistencyEvaluator(assertion)
@@ -495,20 +494,17 @@ class StreamingEngine:
 
     The engine is owned by :class:`~repro.core.runtime.OMG`; it tracks
     the assertion database lazily, so assertions registered mid-stream
-    get an evaluator seeded by replaying the bounded recent-item window
-    (the same context the legacy path would have shown them).
+    get an evaluator seeded by replaying the bounded recent-item window.
     """
 
     def __init__(
         self,
         database,
         window_size: int,
-        max_workers: "int | None" = None,
         recent: "deque | None" = None,
     ) -> None:
         self.database = database
         self.window_size = window_size
-        self.max_workers = max_workers
         self._evaluators: dict = {}
         #: assertion name → {item_index: severity} (sparse, nonzero only).
         self._log: dict = {}
@@ -517,7 +513,6 @@ class StreamingEngine:
         #: owning runtime (OMG hands in its history deque).
         self._recent: deque = recent if recent is not None else deque(maxlen=window_size)
         self._n_items = 0
-        self._executor: "ThreadPoolExecutor | None" = None
         #: Restored evaluator states whose assertions were not enabled at
         #: restore time; claimed (without a log reset or warm-up) when the
         #: assertion is re-enabled, so a disable → snapshot → restore →
@@ -614,32 +609,20 @@ class StreamingEngine:
             self._merge(evaluator.assertion.name, evaluator.update(item), records)
         return records
 
-    def ingest_batch(self, items: list, *, parallel: bool = False) -> list:
+    def ingest_batch(self, items: list) -> list:
         """Consume a chunk of items; return fresh fire records.
 
-        With ``parallel=True`` each assertion's evaluator consumes the
-        chunk on a thread-pool worker — evaluators share no state, so
-        independent assertions stream concurrently. The merge is
-        serialized per (item, assertion) in registration order, so the
-        records and the severity log are identical to the serial path.
+        Each evaluator consumes the whole chunk, then the changes are
+        merged per (item, assertion) in registration order, so the
+        records and the severity log equal those of per-item
+        :meth:`ingest` calls.
         """
         if not items:
             return []
         evaluators = self._sync()
         self._recent.extend(items)
         self._n_items = max(self._n_items, items[-1].index + 1)
-        if parallel and len(evaluators) > 1:
-            if self._executor is None:
-                # Reused across chunks; idle workers are joined at
-                # interpreter exit, so no explicit shutdown is needed.
-                self._executor = ThreadPoolExecutor(
-                    max_workers=self.max_workers, thread_name_prefix="omg-streaming"
-                )
-            per_evaluator = list(
-                self._executor.map(lambda ev: ev.update_batch(items), evaluators)
-            )
-        else:
-            per_evaluator = [ev.update_batch(items) for ev in evaluators]
+        per_evaluator = [ev.update_batch(items) for ev in evaluators]
         records: list = []
         for item_pos in range(len(items)):
             for evaluator, changes in zip(evaluators, per_evaluator):

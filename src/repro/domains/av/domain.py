@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.runtime import OMG
 from repro.core.seeding import derive_seed
 from repro.core.spec import AssertionSuite, PerItemSpec, SuiteEntry
 from repro.domains.av.pipeline import AVPipeline, AVPipelineConfig
@@ -90,9 +89,6 @@ class AVDomain(Domain):
                 ),
             ),
         )
-
-    def _legacy_monitor(self, config: "AVDomainConfig | None" = None) -> OMG:
-        return self.build_pipeline(config).omg
 
     def build_world(self, seed: int = 0) -> _AVWorld:
         from repro.domains.av.task import bootstrap_av_models, make_av_task_data

@@ -112,12 +112,7 @@ class AVPipeline:
     # Online / streaming path
     # ------------------------------------------------------------------
     def observe_batch(
-        self,
-        samples: list,
-        camera_dets: list,
-        lidar_dets: list,
-        *,
-        parallel: bool = False,
+        self, samples: list, camera_dets: list, lidar_dets: list
     ) -> MonitoringReport:
         """Ingest a chunk of fused samples; returns the chunk's report.
 
@@ -134,7 +129,6 @@ class AVPipeline:
             None,
             outputs,
             timestamps=[sample.timestamp for sample in samples],
-            parallel=parallel,
         )
 
     def run_models(

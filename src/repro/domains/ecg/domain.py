@@ -18,8 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.database import AssertionDatabase
-from repro.core.runtime import OMG
 from repro.core.seeding import derive_seed
 from repro.core.spec import (
     AssertionSuite,
@@ -27,7 +25,6 @@ from repro.core.spec import (
     SuiteEntry,
     TemporalDecl,
 )
-from repro.domains.ecg.assertions import make_ecg_assertion
 from repro.domains.registry import Domain, RawItem, RetrainableModel, register_domain
 from repro.utils.codec import register_result_type
 from repro.worlds.ecg import ECG_CLASSES, ECGWorld, ECGWorldConfig
@@ -149,12 +146,6 @@ class EcgDomain(Domain):
                 ),
             ),
         )
-
-    def _legacy_monitor(self, config: "EcgDomainConfig | None" = None) -> OMG:
-        cfg = self._config(config)
-        database = AssertionDatabase()
-        database.add(make_ecg_assertion(cfg.temporal_threshold), domain="ecg")
-        return OMG(database)
 
     def build_world(self, seed: int = 0) -> _ECGWorld:
         from repro.domains.ecg.task import bootstrap_ecg_classifier, make_ecg_task_data

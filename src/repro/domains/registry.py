@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import abc
 import importlib
-import warnings
 from typing import Any, Iterator, NamedTuple
 
 from repro.core.runtime import OMG, MonitoringReport
@@ -176,31 +175,6 @@ class Domain(abc.ABC):
         override this directly.
         """
         return OMG(compile_suite(self.assertion_suite(config)))
-
-    def legacy_monitor(self, config: Any = None) -> OMG:
-        """Deprecated (this PR only): the pre-spec hand-built monitor.
-
-        Produces the imperatively wired runtime the domain shipped before
-        the declarative suite existed. Scheduled for removal; use
-        :meth:`build_monitor`, which compiles the same assertion set from
-        :meth:`assertion_suite`.
-        """
-        warnings.warn(
-            f"legacy_monitor() is deprecated; domain {self.name!r} now "
-            "compiles its declarative assertion_suite() — use "
-            "build_monitor()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._legacy_monitor(config)
-
-    def _legacy_monitor(self, config: Any = None) -> OMG:
-        """Hand-built monitor construction kept for the deprecation shim
-        (and the suite-equivalence tests)."""
-        raise NotImplementedError(
-            f"domain {self.name or type(self).__name__!r} has no legacy "
-            "hand-built monitor"
-        )
 
     def build_pipeline(self, config: Any = None):
         """The domain's offline pipeline object, when it has one.

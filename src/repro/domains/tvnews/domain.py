@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.runtime import OMG
 from repro.core.seeding import derive_seed
 from repro.core.spec import AssertionSuite, ConsistencySpecDecl, SuiteEntry
 from repro.domains.registry import Domain, RawItem, register_domain
@@ -65,9 +64,6 @@ class TVNewsDomain(Domain):
                 ),
             ),
         )
-
-    def _legacy_monitor(self, config: "TVNewsDomainConfig | None" = None) -> OMG:
-        return self.build_pipeline(config).omg
 
     def build_world(self, seed: int = 0) -> TVNewsWorld:
         return TVNewsWorld(self.config.world, seed=derive_seed(seed, "tvnews", "world"))

@@ -11,7 +11,6 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 
-from repro.core.runtime import OMG
 from repro.core.seeding import derive_seed
 from repro.core.spec import (
     AssertionSuite,
@@ -198,9 +197,6 @@ class VideoDomain(Domain):
                 ),
             ),
         )
-
-    def _legacy_monitor(self, config: "VideoDomainConfig | None" = None) -> OMG:
-        return self.build_pipeline(config).omg
 
     def build_world(self, seed: int = 0) -> _VideoWorld:
         from repro.domains.video.task import bootstrap_detector, make_video_task_data

@@ -119,9 +119,7 @@ class VideoPipeline:
             self.start_stream()
         return self._live_tracker
 
-    def observe_batch(
-        self, detections_per_frame: list, *, parallel: bool = False
-    ) -> MonitoringReport:
+    def observe_batch(self, detections_per_frame: list) -> MonitoringReport:
         """Ingest a chunk of frames; returns the chunk's severity report."""
         tracker = self._require_tracker()
         start = self.omg.n_observed
@@ -133,9 +131,7 @@ class VideoPipeline:
             (start + offset) / self.config.fps
             for offset in range(len(detections_per_frame))
         ]
-        return self.omg.observe_batch(
-            None, outputs, timestamps=timestamps, parallel=parallel
-        )
+        return self.omg.observe_batch(None, outputs, timestamps=timestamps)
 
     def severity_matrix(self, detections_per_frame: list) -> np.ndarray:
         """``(n_frames, 3)`` severities in database order."""

@@ -1,7 +1,7 @@
 """The serving layer: many monitored streams over one ``Domain`` contract.
 
 - :class:`MonitorService` — keyed multi-stream sessions with batched
-  thread fan-out, LRU/TTL eviction, fleet reporting, fire routing with
+  ingest, LRU/TTL eviction, fleet reporting, fire routing with
   stream provenance, and bit-exact snapshot/restore;
 - :class:`MonitorServer` / :class:`ServiceClient` — the asyncio network
   front-end: newline-delimited JSON over TCP with request batching,

@@ -9,9 +9,8 @@ layer on top of the :mod:`repro.domains.registry` contract:
   key (its own runtime, its own per-stream adapter state), created on
   first use;
 - ``service.ingest(stream_id, raw)`` / ``service.ingest_batch(pairs)`` —
-  raw domain units in, fresh fire records out, with the batch form
-  fanning independent streams across a thread pool (results are
-  bit-identical to the serial path);
+  raw domain units in, fresh fire records out; the batch form groups
+  pairs by stream and runs each stream's units in arrival order;
 - LRU capacity bounds and TTL idle expiry with an ``on_evict`` hook;
 - per-stream and fleet-aggregate :class:`MonitoringReport` s;
 - ``on_fire`` routing that tags every record with its stream id;
@@ -129,10 +128,12 @@ class ServiceConfig:
         on the next service access — ``session``/``ingest``/``report``/
         ``fleet_report``/``snapshot``.
     parallel:
-        Default for :meth:`MonitorService.ingest_batch`'s thread fan-out.
-    max_workers:
-        Thread-pool width for the batch fan-out; ``None`` lets the
-        executor pick.
+        Default for :meth:`MonitorService.ingest_batch`'s thread fan-out
+        across streams. Off by default: the evaluators are pure Python,
+        so the pool only adds CPU under the GIL and was slower than
+        serial ingest in every measurement. Kept only because
+        ``servebench`` replays batches with ``parallel=True`` to report
+        ``service.pool_speedup``.
     snapshot_on_evict:
         When True, :meth:`MonitorService.evict` captures the session's
         restorable snapshot *before* ``on_evict`` hooks fire and exposes
@@ -145,8 +146,7 @@ class ServiceConfig:
 
     max_sessions: "int | None" = None
     session_ttl: "float | None" = None
-    parallel: bool = True
-    max_workers: "int | None" = None
+    parallel: bool = False
     snapshot_on_evict: bool = False
 
     def __post_init__(self) -> None:
@@ -650,9 +650,10 @@ class MonitorService:
         """Feed many ``(stream_id, raw)`` pairs; returns fires in pair order.
 
         Pairs are grouped by stream (preserving each stream's arrival
-        order); with ``parallel`` (default: the service config) the
-        groups fan out over a shared thread pool — sessions are
-        independent, so results are bit-identical to serial ingestion.
+        order) and run one stream after another; with ``parallel``
+        (default: the service config, off) the groups fan out over a
+        shared thread pool instead — sessions are independent, so
+        results are bit-identical either way.
         ``on_fire`` hooks run after the whole batch, in pair order.
 
         When stream groups fail, a :class:`BatchIngestError` names every
@@ -755,8 +756,7 @@ class MonitorService:
                 # Reused across batches; idle workers are joined at
                 # interpreter exit, so no explicit shutdown is needed.
                 self._executor = ThreadPoolExecutor(
-                    max_workers=self.config.max_workers,
-                    thread_name_prefix="monitor-service",
+                    thread_name_prefix="monitor-service"
                 )
             per_group = list(self._executor.map(run_group, groups))
         else:

@@ -2,7 +2,7 @@
 
 The refactor-safety invariant of the incremental streaming engine
 (:mod:`repro.core.streaming`): for any stream, feeding the items through
-``OMG.observe`` (or ``observe_batch``, serial or thread-pooled) and then
+``OMG.observe`` (or ``observe_batch``) and then
 reading :meth:`OMG.online_report` must reproduce the offline
 :meth:`OMG.monitor` severity matrix *bit-for-bit* — for all four
 assertion families the paper's runtime supports:
@@ -102,7 +102,7 @@ def feed_observe(items) -> OMG:
     return omg
 
 
-def feed_observe_batch(items, seed: int, *, parallel: bool = False) -> OMG:
+def feed_observe_batch(items, seed: int) -> OMG:
     """Feed in random-size chunks (1–8 items) via ``observe_batch``."""
     omg = OMG(build_database(), window_size=4096)
     rng = np.random.default_rng(seed + 10_000)
@@ -113,7 +113,6 @@ def feed_observe_batch(items, seed: int, *, parallel: bool = False) -> OMG:
             None,
             [list(item.outputs) for item in chunk],
             timestamps=[item.timestamp for item in chunk],
-            parallel=parallel,
         )
         pos += len(chunk)
     return omg
@@ -136,20 +135,6 @@ class TestOnlineOfflineEquivalence:
         np.testing.assert_array_equal(online.severities, offline.severities)
 
     @pytest.mark.parametrize("seed", SEEDS[:6])
-    def test_parallel_batch_matches_serial(self, seed):
-        """Thread-pooled batches are bit-identical to the serial path."""
-        items = random_stream(seed)
-        serial = feed_observe_batch(items, seed)
-        threaded = feed_observe_batch(items, seed, parallel=True)
-        np.testing.assert_array_equal(
-            threaded.online_report().severities, serial.online_report().severities
-        )
-        key = lambda r: (r.item_index, r.assertion_name, r.severity)
-        assert sorted(map(key, threaded.online_records)) == sorted(
-            map(key, serial.online_records)
-        )
-
-    @pytest.mark.parametrize("seed", SEEDS[:6])
     def test_single_and_batch_records_identical(self, seed):
         """Fire records (incl. retroactive revisions) agree across paths."""
         items = random_stream(seed)
@@ -160,25 +145,30 @@ class TestOnlineOfflineEquivalence:
 
     @pytest.mark.parametrize("seed", SEEDS[:6])
     def test_streaming_newest_records_match_legacy_for_function_assertions(self, seed):
-        """Per-item/windowed fires agree step-by-step with the legacy engine.
+        """Per-item/windowed fires agree step-by-step with a history replay.
 
-        Consistency assertions are excluded: the legacy engine could only
-        attribute severity to the newest item, so it silently dropped
-        gap/run violations; the streaming engine reports them
-        retroactively (and is checked against the offline monitor above).
+        The reference for each step is the newest row of the offline
+        monitor over the stream prefix so far: what a runtime that
+        re-evaluates its whole history on every item reports. Consistency
+        assertions are excluded: such a replay can only attribute
+        severity to the newest item, so it silently drops gap/run
+        violations; the streaming engine reports them retroactively (and
+        is checked against the offline monitor above).
         """
         items = random_stream(seed)
-        legacy = OMG(build_database(), window_size=4096, engine="legacy")
+        offline = OMG(build_database(), window_size=4096)
         streaming = OMG(build_database(), window_size=4096)
         functional = {"crowded", "red_count", "busy_w3", "echo_w5"}
-        for item in items:
-            got_legacy = legacy.observe(None, list(item.outputs), timestamp=item.timestamp)
+        key = lambda r: (r.assertion_name, r.item_index, r.severity)
+        for step, item in enumerate(items):
+            newest = offline.monitor(items[: step + 1]).records
             got_streaming = streaming.observe(
                 None, list(item.outputs), timestamp=item.timestamp
             )
-            key = lambda r: (r.assertion_name, r.item_index, r.severity)
             assert sorted(
-                key(r) for r in got_legacy if r.assertion_name in functional
+                key(r)
+                for r in newest
+                if r.assertion_name in functional and r.item_index == item.index
             ) == sorted(key(r) for r in got_streaming if r.assertion_name in functional)
 
 
@@ -242,17 +232,6 @@ class TestEngineBehavior:
         assert report.n_items == len(items) - half
         full = omg.online_report()
         np.testing.assert_array_equal(report.severities, full.severities[half:])
-
-    def test_legacy_engine_rejects_batch_and_report(self):
-        omg = OMG(build_database(), engine="legacy")
-        with pytest.raises(RuntimeError):
-            omg.observe_batch(None, [[]])
-        with pytest.raises(RuntimeError):
-            omg.online_report()
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="engine"):
-            OMG(engine="warp")
 
     def test_reset_clears_streaming_state(self):
         omg = OMG(build_database(), window_size=4096)

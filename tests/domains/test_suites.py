@@ -2,20 +2,23 @@
 
 The acceptance bar for the spec layer: for all four domains, a monitor
 compiled from ``domain.assertion_suite()`` produces a severity matrix
-bit-identical to the pre-spec hand-built monitor (kept behind the
-``legacy_monitor`` deprecation shim) on seeded worlds. Plus the Table 5
-taxonomy audit: no built-in assertion ships on the ``"custom"`` default.
+bit-identical to the pre-spec hand-built monitor (wired imperatively
+below, the way the domains did before suites existed) on seeded worlds.
+Plus the Table 5 taxonomy audit: no built-in assertion ships on the
+``"custom"`` default.
 """
 
 import itertools
-import warnings
 
 import numpy as np
 import pytest
 
+from repro.core.database import AssertionDatabase
+from repro.core.runtime import OMG
 from repro.core.spec import compile_suite, lint_suite
 from repro.core.taxonomy import ASSERTION_CLASSES
 from repro.core.types import StreamItem
+from repro.domains.ecg.assertions import make_ecg_assertion
 from repro.domains.registry import domain_names, get_domain
 
 #: Raw units consumed per world; small where the world needs a model.
@@ -42,10 +45,16 @@ def normalized_items(domain, seed: int, n_units: int) -> list:
     return items
 
 
-def legacy_monitor(domain):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return domain.legacy_monitor()
+def hand_built_monitor(domain) -> OMG:
+    """The pre-spec monitor: the offline pipeline's runtime (av, tvnews,
+    video) or the ECG consistency assertion registered by hand."""
+    if domain.name == "ecg":
+        database = AssertionDatabase()
+        database.add(
+            make_ecg_assertion(domain.config.temporal_threshold), domain="ecg"
+        )
+        return OMG(database)
+    return domain.build_pipeline().omg
 
 
 class TestSuiteEquivalence:
@@ -55,7 +64,7 @@ class TestSuiteEquivalence:
         suite = domain.assertion_suite()
         for seed in SEEDS:
             compiled = domain.build_monitor()
-            reference = legacy_monitor(domain)
+            reference = hand_built_monitor(domain)
             assert (
                 compiled.database.names() == reference.database.names()
             ), "suite must preserve the assertion registration order"
@@ -81,10 +90,6 @@ class TestSuiteEquivalence:
             assert monitor.suite == domain.assertion_suite()
             assert monitor.snapshot()["suite"] is not None
 
-    def test_legacy_monitor_warns(self):
-        with pytest.warns(DeprecationWarning, match="assertion_suite"):
-            get_domain("ecg").legacy_monitor()
-
 
 class TestTaxonomyAudit:
     """Satellite: Table 5 classes on every built-in assertion."""
@@ -102,10 +107,10 @@ class TestTaxonomyAudit:
                 )
 
     def test_pipeline_built_assertions_match_the_audit_too(self):
-        # The legacy hand-built monitors must agree with the audit —
+        # The hand-built monitors must agree with the audit —
         # the suites re-declare, not re-classify.
         for name in domain_names():
-            database = legacy_monitor(get_domain(name)).database
+            database = hand_built_monitor(get_domain(name)).database
             for assertion_name in database.all_names():
                 assert database.get(assertion_name).taxonomy_class in ASSERTION_CLASSES
 

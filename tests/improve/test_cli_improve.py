@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.__main__ import main
+from tests.experiments.test_cli import run_cli as cli
 
 
 def run_cli(argv, capsys):
@@ -48,12 +49,15 @@ class TestImproveCLI:
         with pytest.raises(SystemExit, match="--policy"):
             main(base + ["--policy", "random"])
 
-    def test_unknown_domain_and_bad_config_fail_cleanly(self):
-        with pytest.raises(SystemExit, match="unknown domain"):
-            main(["improve", "nope"])
+    def test_bad_config_fails_cleanly(self):
         with pytest.raises(SystemExit, match="swap_tick"):
             main(["improve", "ecg", "--items-per-round", "2", "--swap-tick", "2"])
 
-    def test_non_retrainable_domain_fails_cleanly(self):
-        with pytest.raises(NotImplementedError, match="retrainable"):
-            main(["improve", "tvnews", "--rounds", "1"])
+    @pytest.mark.parametrize("domain", ["tvnews", "av"])
+    def test_non_retrainable_domain_fails_cleanly(self, domain):
+        with pytest.raises(SystemExit, match="retrainable"):
+            main(["improve", domain, "--rounds", "1"])
+        proc = cli("improve", domain, "--rounds", "1", check=False)
+        assert proc.returncode != 0
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ") and "retrainable" in proc.stderr

@@ -133,7 +133,8 @@ class TestStreamSuiteFlag:
         # … and without the flag too (the snapshot carries it)
         run_cli("stream", "tvnews", "--items", "1", "--snapshot", snap)
 
-    def test_snapshot_resume_rejects_a_different_suite(self, tmp_path):
+    @pytest.mark.parametrize("command", ["stream", "serve"])
+    def test_snapshot_resume_rejects_a_different_suite(self, tmp_path, command):
         snap = str(tmp_path / "fleet.json")
         run_cli("stream", "tvnews", "--streams", "2", "--items", "1",
                 "--snapshot", snap)
@@ -143,7 +144,7 @@ class TestStreamSuiteFlag:
         payload = json.loads(other.read_text())
         payload["suite"]["fields"]["version"] = 9
         other.write_text(json.dumps(payload))
-        proc = run_cli("stream", "tvnews", "--items", "1",
-                       "--suite", str(other), "--snapshot", snap, check=False)
+        proc = run_cli(command, "tvnews", "--suite", str(other),
+                       "--snapshot", snap, check=False)
         assert proc.returncode != 0
         assert "conflicts with the snapshot" in proc.stderr

@@ -5,7 +5,14 @@ import json
 
 import pytest
 
+from repro.__main__ import main
 from tests.experiments.test_cli import run_cli
+
+
+@pytest.mark.parametrize("command", ["stream", "serve", "fleet", "loadtest", "improve"])
+def test_unknown_domain_fails_cleanly(command):
+    with pytest.raises(SystemExit, match="unknown domain 'nope'; registered domains"):
+        main([command, "nope"])
 
 
 class TestStreamCommand:

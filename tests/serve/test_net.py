@@ -236,7 +236,8 @@ class TestEventLoopExecution:
         hop and no thread fan-out, even for multi-stream batches."""
         n_streams, n_raw = 4, 10
         units = {f"s{k}": raw_units(70 + k, n_raw) for k in range(n_streams)}
-        service = MonitorService(SyntheticDomain())  # parallel=True config
+        # A pooled config: the server must still ingest on the loop thread.
+        service = MonitorService(SyntheticDomain(), config=ServiceConfig(parallel=True))
         fire_threads = []
         service.on_fire(lambda fire: fire_threads.append(threading.get_ident()))
         observe_threads = []

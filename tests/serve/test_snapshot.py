@@ -72,15 +72,6 @@ class TestOMGSnapshot:
         with pytest.raises(ValueError, match="format"):
             monitor.restore(payload)
 
-    def test_legacy_engine_cannot_snapshot(self):
-        from repro.core.runtime import OMG
-
-        legacy = OMG(engine="legacy")
-        with pytest.raises(RuntimeError):
-            legacy.snapshot()
-        with pytest.raises(RuntimeError):
-            legacy.restore({})
-
     def test_pre_stream_snapshot_restores_empty_state(self):
         monitor = self.make_monitor()
         payload = json_round_trip(monitor.snapshot())
