@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.core.assertion import ModelAssertion
 from repro.core.spec import register_predicate
-from repro.geometry.iou import iou_matrix
+from repro.geometry.iou import iou_rows
 
 
 def sensor_agreement(lidar_boxes, camera_boxes, iou_threshold=0.1):
@@ -29,13 +29,10 @@ def sensor_agreement(lidar_boxes, camera_boxes, iou_threshold=0.1):
     A LIDAR projection with no overlapping camera box is one failure;
     a camera box with no overlapping LIDAR projection is one failure.
     """
-    failures = 0
-    iou = iou_matrix(lidar_boxes, camera_boxes)
-    for i in range(len(lidar_boxes)):
-        if not np.any(iou[i] >= iou_threshold):
-            failures += 1
+    iou = iou_rows(lidar_boxes, camera_boxes)
+    failures = sum(not any(v >= iou_threshold for v in row) for row in iou)
     for j in range(len(camera_boxes)):
-        if not np.any(iou[:, j] >= iou_threshold):
+        if not any(row[j] >= iou_threshold for row in iou):
             failures += 1
     return float(failures)
 
@@ -86,9 +83,12 @@ class AgreeAssertion(ModelAssertion):
     def disagreeing_outputs(self, item) -> list:
         """Output indices (into ``item.outputs``) that disagree."""
         lidar, camera = self.split_outputs(item)
-        iou = iou_matrix(lidar, camera)
-        bad_lidar = {id(b) for i, b in enumerate(lidar) if not np.any(iou[i] >= self.iou_threshold)}
-        bad_camera = {id(b) for j, b in enumerate(camera) if not np.any(iou[:, j] >= self.iou_threshold)}
+        iou = iou_rows(lidar, camera)
+        threshold = self.iou_threshold
+        bad_lidar = {id(b) for b, row in zip(lidar, iou) if not any(v >= threshold for v in row)}
+        bad_camera = {
+            id(b) for j, b in enumerate(camera) if not any(row[j] >= threshold for row in iou)
+        }
         flagged = []
         for idx, output in enumerate(item.outputs):
             box = output.get("box")

@@ -27,19 +27,17 @@ from repro.core.assertion import ModelAssertion
 from repro.core.consistency import ConsistencySpec, TemporalConsistencyAssertion
 from repro.core.spec import register_predicate
 from repro.geometry.box2d import Box2D
-from repro.geometry.iou import iou_matrix
+from repro.geometry.iou import iou_rows
 
 
 def multibox_severity(boxes, iou_threshold=0.1):
     """Number of box triples that all pairwise overlap above the threshold."""
     if len(boxes) < 3:
         return 0.0
-    iou = iou_matrix(boxes, boxes)
-    overlapping = iou > iou_threshold
-    np.fill_diagonal(overlapping, False)
+    iou = iou_rows(boxes, boxes)
     triples = 0
     for i, j, k in combinations(range(len(boxes)), 3):
-        if overlapping[i, j] and overlapping[i, k] and overlapping[j, k]:
+        if iou[i][j] > iou_threshold and iou[i][k] > iou_threshold and iou[j][k] > iou_threshold:
             triples += 1
     return float(triples)
 
@@ -84,12 +82,11 @@ class MultiboxAssertion(ModelAssertion):
         positions = [idx for idx, o in enumerate(item.outputs) if self._keep(o)]
         if len(boxes) < 3:
             return []
-        iou = iou_matrix(boxes, boxes)
-        overlapping = iou > self.iou_threshold
-        np.fill_diagonal(overlapping, False)
+        iou = iou_rows(boxes, boxes)
+        threshold = self.iou_threshold
         flagged = set()
         for i, j, k in combinations(range(len(boxes)), 3):
-            if overlapping[i, j] and overlapping[i, k] and overlapping[j, k]:
+            if iou[i][j] > threshold and iou[i][k] > threshold and iou[j][k] > threshold:
                 flagged.update((i, j, k))
         return sorted(positions[i] for i in flagged)
 

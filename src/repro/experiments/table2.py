@@ -75,28 +75,28 @@ def _run_table2(config: Table2Config) -> Table2Result:
         video_consistency_spec,
     )
     from repro.geometry.camera import project_box3d_to_2d
-    from repro.geometry.iou import iou_matrix
+    from repro.geometry.iou import iou_rows, match_boxes
 
     # Bodies are the domain-level definitions a developer writes; helpers
-    # are the shared utilities they call (box IoU, interpolation,
-    # projection), double-counted per assertion as in the paper.
+    # are the shared utilities they call (box matching and IoU,
+    # interpolation, projection), double-counted per assertion as in the paper.
     entries = [
-        ("news", "consistency", [news_consistency_spec], [iou_matrix]),
+        ("news", "consistency", [news_consistency_spec], [match_boxes]),
         ("ECG", "consistency", [ecg_consistency_spec, make_ecg_assertion], []),
         (
             "flicker",
             "consistency",
             [video_consistency_spec, make_flicker_assertion],
-            [interpolate_box, iou_matrix],
+            [interpolate_box, match_boxes],
         ),
         (
             "appear",
             "consistency",
             [video_consistency_spec, make_appear_assertion],
-            [iou_matrix],
+            [match_boxes],
         ),
-        ("multibox", "custom", [multibox_severity], [iou_matrix]),
-        ("agree", "custom", [sensor_agreement], [iou_matrix, project_box3d_to_2d]),
+        ("multibox", "custom", [multibox_severity], [iou_rows]),
+        ("agree", "custom", [sensor_agreement], [iou_rows, project_box3d_to_2d]),
     ]
     rows = []
     for name, kind, bodies, helpers in entries:

@@ -16,7 +16,7 @@ from repro.geometry.box2d import (
 )
 from repro.geometry.box3d import Box3D, box3d_corners
 from repro.geometry.camera import PinholeCamera, project_box3d_to_2d
-from repro.geometry.iou import iou_matrix, iou_pairwise, match_boxes
+from repro.geometry.iou import iou_matrix, iou_pairwise, iou_rows, match_boxes
 from repro.geometry.nms import non_max_suppression
 
 __all__ = [
@@ -29,6 +29,7 @@ __all__ = [
     "clip_boxes",
     "iou_matrix",
     "iou_pairwise",
+    "iou_rows",
     "make_box",
     "match_boxes",
     "non_max_suppression",

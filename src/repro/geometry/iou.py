@@ -1,4 +1,12 @@
-"""Vectorized intersection-over-union and greedy box matching."""
+"""Intersection-over-union and greedy box matching.
+
+:func:`iou_matrix` and :func:`iou_pairwise` take ``(n, 4)`` arrays (or box
+lists) and serve the bulk callers: NMS, the detector, metrics and the
+experiments. :func:`iou_rows` takes :class:`Box2D` sequences and serves
+the per-frame callers, whose frames hold a handful of boxes: there it
+avoids numpy's per-call dispatch while computing bit-equal values.
+:func:`match_boxes` is the one greedy matcher, shared with the tracker.
+"""
 
 from __future__ import annotations
 
@@ -60,28 +68,63 @@ def iou_pairwise(boxes_a, boxes_b) -> np.ndarray:
         return np.where(union > 0, inter / union, 0.0)
 
 
+def _corners(boxes) -> list:
+    """``(x1, y1, x2, y2, area)`` of each :class:`Box2D`, as Python floats."""
+    corners = [(float(b.x1), float(b.y1), float(b.x2), float(b.y2)) for b in boxes]
+    return [(x1, y1, x2, y2, (x2 - x1) * (y2 - y1)) for x1, y1, x2, y2 in corners]
+
+
+def iou_rows(boxes_a, boxes_b) -> list[list[float]]:
+    """Pairwise IoU of two :class:`Box2D` sequences as nested lists.
+
+    ``iou_rows(a, b)[i][j]`` is bit-equal to ``iou_matrix(a, b)[i, j]``:
+    each pair runs the same IEEE operations in the same order, and a pair
+    whose intersection is empty is 0.0, which is what ``iou_matrix``
+    yields for it.
+    """
+    rows_b = _corners(boxes_b)
+    result = []
+    for ax1, ay1, ax2, ay2, area_a in _corners(boxes_a):
+        row = []
+        for bx1, by1, bx2, by2, area_b in rows_b:
+            # Conditional min/max equal np.minimum/np.maximum here: Box2D
+            # admits no NaN corner, and a tie between +0.0 and -0.0 can only
+            # change a width or height that is not positive anyway.
+            w = (ax2 if ax2 < bx2 else bx2) - (ax1 if ax1 > bx1 else bx1)
+            h = (ay2 if ay2 < by2 else by2) - (ay1 if ay1 > by1 else by1)
+            if w > 0.0 and h > 0.0:
+                inter = w * h
+                union = area_a + area_b - inter
+                row.append(inter / union if union > 0 else 0.0)
+            else:
+                row.append(0.0)
+        result.append(row)
+    return result
+
+
 def match_boxes(boxes_a, boxes_b, iou_threshold: float = 0.5) -> list[tuple[int, int, float]]:
-    """Greedy one-to-one matching between two box sets by descending IoU.
+    """Greedy one-to-one matching of two :class:`Box2D` sequences by descending IoU.
 
     Standard evaluation-style matcher: repeatedly take the highest-IoU
-    unmatched pair above ``iou_threshold``.
+    unmatched pair at or above ``iou_threshold`` (and above 0), breaking
+    ties by the lower ``(index_a, index_b)``.
 
     Returns
     -------
-    list of ``(index_a, index_b, iou)`` triples.
+    list of ``(index_a, index_b, iou)`` triples, in the order taken.
     """
-    iou = iou_matrix(boxes_a, boxes_b)
+    candidates = sorted(
+        (-iou, i, j)
+        for i, row in enumerate(iou_rows(boxes_a, boxes_b))
+        for j, iou in enumerate(row)
+        if iou >= iou_threshold and iou > 0
+    )
+    used_a: set = set()
+    used_b: set = set()
     matches: list[tuple[int, int, float]] = []
-    if iou.size == 0:
-        return matches
-    iou = iou.copy()
-    while True:
-        flat = int(np.argmax(iou))
-        i, j = np.unravel_index(flat, iou.shape)
-        best = iou[i, j]
-        if best < iou_threshold or best <= 0:
-            break
-        matches.append((int(i), int(j), float(best)))
-        iou[i, :] = -1.0
-        iou[:, j] = -1.0
+    for neg_iou, i, j in candidates:
+        if i not in used_a and j not in used_b:
+            used_a.add(i)
+            used_b.add(j)
+            matches.append((i, j, -neg_iou))
     return matches

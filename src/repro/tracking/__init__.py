@@ -8,6 +8,6 @@ implements that tracker, which is also the "automated method" behind the
 human-label validation experiment (Table 6).
 """
 
-from repro.tracking.tracker import IoUTracker, Track, TrackedBox
+from repro.tracking.tracker import IoUTracker, TrackedBox
 
-__all__ = ["IoUTracker", "Track", "TrackedBox"]
+__all__ = ["IoUTracker", "TrackedBox"]

@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from repro.geometry.box2d import Box2D
-from repro.geometry.iou import iou_matrix
+from repro.geometry.iou import match_boxes
 
 
 @dataclass(frozen=True)
@@ -19,29 +17,6 @@ class TrackedBox:
     box: Box2D
 
 
-@dataclass
-class Track:
-    """All observations assigned to one identifier, in frame order."""
-
-    track_id: int
-    observations: list = field(default_factory=list)
-
-    @property
-    def first_frame(self) -> int:
-        return self.observations[0].frame_index
-
-    @property
-    def last_frame(self) -> int:
-        return self.observations[-1].frame_index
-
-    @property
-    def length(self) -> int:
-        return len(self.observations)
-
-    def frames(self) -> list[int]:
-        return [obs.frame_index for obs in self.observations]
-
-
 class IoUTracker:
     """Greedy IoU matching of detections across consecutive frames.
 
@@ -51,6 +26,10 @@ class IoUTracker:
     simplest credible tracker — the consistency API must work with
     identifiers of exactly this quality (occasional id switches), which is
     why Table 3 reports precision both with and without identifier errors.
+
+    The tracker keeps only what matching reads: the next identifier and
+    each active track's last frame and box. It keeps no per-track history,
+    so a long-lived stream holds memory bounded by its active tracks.
     """
 
     def __init__(self, iou_threshold: float = 0.25, max_age: int = 2) -> None:
@@ -62,13 +41,11 @@ class IoUTracker:
         self.max_age = max_age
         self._next_id = 0
         self._active: dict = {}  # track_id -> (last_frame, last_box)
-        self.tracks: dict = {}  # track_id -> Track
 
     def reset(self) -> None:
         """Forget all tracks (e.g., at a scene cut)."""
         self._next_id = 0
         self._active = {}
-        self.tracks = {}
 
     def update(self, frame_index: int, boxes: list) -> list:
         """Assign identifiers to one frame's boxes.
@@ -82,19 +59,10 @@ class IoUTracker:
             if frame_index - last <= self.max_age
         }
 
-        assigned: dict = {}
-        if boxes and self._active:
-            track_ids = list(self._active.keys())
-            track_boxes = [self._active[tid][1] for tid in track_ids]
-            iou = iou_matrix(boxes, track_boxes).copy()
-            while True:
-                flat = int(np.argmax(iou))
-                i, j = np.unravel_index(flat, iou.shape)
-                if iou[i, j] < self.iou_threshold:
-                    break
-                assigned[int(i)] = track_ids[j]
-                iou[i, :] = -1.0
-                iou[:, j] = -1.0
+        track_ids = list(self._active)
+        track_boxes = [box for _, box in self._active.values()]
+        matches = match_boxes(boxes, track_boxes, self.iou_threshold)
+        assigned = {i: track_ids[j] for i, j, _ in matches}
 
         result = []
         for i, box in enumerate(boxes):
@@ -102,22 +70,16 @@ class IoUTracker:
             if tid is None:
                 tid = self._next_id
                 self._next_id += 1
-                self.tracks[tid] = Track(track_id=tid)
-            obs = TrackedBox(track_id=tid, frame_index=frame_index, box=box)
-            self.tracks[tid].observations.append(obs)
             self._active[tid] = (frame_index, box)
-            result.append(obs)
+            result.append(TrackedBox(track_id=tid, frame_index=frame_index, box=box))
         return result
 
     def get_state(self) -> dict:
         """JSON-encodable matching state (for monitor snapshots).
 
         Captures the next track id and the active tracks' last boxes —
-        everything :meth:`update` reads — as primitives. The accumulated
-        per-track observation history (:attr:`tracks`) is *not* included:
-        it grows with the stream and never influences matching, so a
-        restored tracker assigns bit-identical ids while starting a fresh
-        history.
+        everything :meth:`update` reads — as primitives, so a restored
+        tracker assigns bit-identical ids.
         """
         return {
             "next_id": self._next_id,
@@ -138,7 +100,6 @@ class IoUTracker:
         for tid, last, (x1, y1, x2, y2, label, score) in state["active"]:
             box = Box2D(float(x1), float(y1), float(x2), float(y2), str(label), float(score))
             self._active[int(tid)] = (int(last), box)
-            self.tracks[int(tid)] = Track(track_id=int(tid))
 
     def run(self, frames: list) -> list:
         """Track a whole video: ``frames`` is a list of per-frame box lists.
@@ -148,7 +109,3 @@ class IoUTracker:
         """
         self.reset()
         return [self.update(idx, boxes) for idx, boxes in enumerate(frames)]
-
-    def completed_tracks(self, min_length: int = 1) -> list:
-        """All tracks with at least ``min_length`` observations."""
-        return [t for t in self.tracks.values() if t.length >= min_length]

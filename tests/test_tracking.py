@@ -1,5 +1,9 @@
 """Tests for repro.tracking."""
 
+import gc
+import weakref
+from collections import Counter
+
 import pytest
 
 from repro.geometry.box2d import Box2D, make_box
@@ -53,20 +57,30 @@ class TestIoUTracker:
         bottom_ids = {frame[1].track_id for frame in tracked}
         assert top_ids == {0} and bottom_ids == {1}
 
-    def test_completed_tracks_min_length(self):
+    def test_one_frame_object_gets_a_one_frame_track(self):
         tracker = IoUTracker()
         frames = [[moving_box(t)] for t in range(4)]
         frames[2] = frames[2] + [make_box(100, 60, 6, 6)]  # one-frame object
-        tracker.run(frames)
-        assert len(tracker.completed_tracks(min_length=2)) == 1
-        assert len(tracker.completed_tracks(min_length=1)) == 2
+        tracked = tracker.run(frames)
+        lengths = Counter(tb.track_id for frame in tracked for tb in frame)
+        assert sorted(lengths.values()) == [1, 4]
 
-    def test_track_frames_ordering(self):
+    def test_track_frame_indices_in_order(self):
         tracker = IoUTracker()
-        tracker.run([[moving_box(t)] for t in range(3)])
-        track = tracker.completed_tracks()[0]
-        assert track.frames() == [0, 1, 2]
-        assert track.first_frame == 0 and track.last_frame == 2
+        tracked = tracker.run([[moving_box(t)] for t in range(3)])
+        assert [tb.frame_index for frame in tracked for tb in frame] == [0, 1, 2]
+        assert {tb.track_id for frame in tracked for tb in frame} == {0}
+
+    def test_past_frames_are_not_retained(self):
+        # A served video session runs one tracker for its whole life, so
+        # nothing from earlier frames may stay reachable through it.
+        tracker = IoUTracker()
+        refs = []
+        for t in range(2000):
+            frame = [moving_box(t % 50), make_box(100, 60 + t % 7, 6, 6)]
+            refs.extend(weakref.ref(tb) for tb in tracker.update(t, frame))
+        gc.collect()
+        assert [r for r in refs[:-2] if r() is not None] == []
 
     def test_invalid_params_raise(self):
         with pytest.raises(ValueError):
