@@ -50,8 +50,26 @@ from repro.core.streaming import StreamingEngine
 from repro.core.types import AssertionRecord, StreamItem, make_stream
 from repro.utils.codec import from_jsonable, register_result_type, to_jsonable
 
-#: Version tag of the :meth:`OMG.snapshot` payload layout.
-SNAPSHOT_FORMAT = 1
+#: Version tag of the :meth:`OMG.snapshot` payload layout. Format 2
+#: dropped the copy of every fire record (``online_records``) and
+#: run-length codes the temporal evaluators' position → index map.
+SNAPSHOT_FORMAT = 2
+
+
+class SnapshotFormatError(ValueError):
+    """A snapshot payload with the wrong schema version or shape.
+
+    Raised at the restore boundary by every snapshot layer — monitor
+    (:meth:`OMG.restore`) and fleet (:mod:`repro.fleet.snapshot`) — so
+    an old payload fails loudly instead of as a ``KeyError`` deep inside
+    a restore. Carries ``found`` (the payload's version, or ``None``)
+    and ``supported``; the message names both.
+    """
+
+    def __init__(self, message: str, *, found=None, supported=None) -> None:
+        super().__init__(message)
+        self.found = found
+        self.supported = supported
 
 
 @register_result_type
@@ -149,7 +167,6 @@ class OMG:
         self.window_size = window_size
         self._history: deque = deque(maxlen=window_size)
         self._next_index = 0
-        self._online_records: list = []
         self._actions: list = []
         # The engine shares OMG's history deque as its recent-item window,
         # so observed items are retained once, not twice.
@@ -320,7 +337,6 @@ class OMG:
         return item
 
     def _dispatch(self, records: list) -> None:
-        self._online_records.extend(records)
         for record in records:
             for action in self._actions:
                 action(record)
@@ -380,11 +396,6 @@ class OMG:
         return MonitoringReport(assertion_names=names, severities=chunk, records=fresh)
 
     @property
-    def online_records(self) -> list:
-        """All records accumulated through :meth:`observe`."""
-        return list(self._online_records)
-
-    @property
     def n_observed(self) -> int:
         """Items ingested online since the last :meth:`reset` (also the
         index the next observed item will get)."""
@@ -414,10 +425,9 @@ class OMG:
         )
 
     def reset(self) -> None:
-        """Clear online history and records (assertions stay registered)."""
+        """Clear online history and state (assertions stay registered)."""
         self._history.clear()
         self._next_index = 0
-        self._online_records = []
         self._streaming.reset()
 
     # ------------------------------------------------------------------
@@ -428,12 +438,14 @@ class OMG:
 
         Captures everything :meth:`observe` accumulates — the streaming
         evaluators' rolling state, the sparse severity log, the bounded
-        recent-item window, the item counter, and the online records — as
-        primitives the :mod:`repro.utils.codec` round-trips bit-exactly
-        through ``json.dumps``/``loads``. A monitor restored from the
-        payload (:meth:`restore`) continues the stream as if it had never
-        stopped: subsequent reports are bit-identical to an uninterrupted
-        run.
+        recent-item window and the item counter — as primitives the
+        :mod:`repro.utils.codec` round-trips bit-exactly through
+        ``json.dumps``/``loads``. A monitor restored from the payload
+        (:meth:`restore`) continues the stream as if it had never
+        stopped: subsequent reports and fire records are bit-identical to
+        an uninterrupted run. Fire records already returned by
+        :meth:`observe` are not part of the payload; the severity log
+        holds every item's current severity.
 
         Stream items must hold codec-encodable inputs/outputs (the
         built-in domains' outputs all are); corrective-action callbacks
@@ -445,7 +457,6 @@ class OMG:
             "window_size": self.window_size,
             "assertions": self.database.names(),
             "next_index": self._next_index,
-            "online_records": to_jsonable(self._online_records),
             "streaming": self._streaming.get_state(),
         }
         if self.suite is not None:
@@ -462,11 +473,16 @@ class OMG:
         snapshot: same ``window_size`` and the same enabled assertion
         names in the same order (build it the same way — e.g. via the
         same :class:`~repro.domains.registry.Domain` — then restore).
+        A payload of another format raises :class:`SnapshotFormatError`.
         """
         fmt = snapshot.get("format")
         if fmt != SNAPSHOT_FORMAT:
-            raise ValueError(
-                f"unsupported snapshot format {fmt!r} (expected {SNAPSHOT_FORMAT})"
+            raise SnapshotFormatError(
+                f"unsupported monitor snapshot format {fmt!r}; this build "
+                f"reads format {SNAPSHOT_FORMAT} — re-snapshot with a "
+                "matching version instead of reusing this payload",
+                found=fmt,
+                supported=SNAPSHOT_FORMAT,
             )
         if int(snapshot["window_size"]) != self.window_size:
             raise ValueError(
@@ -487,7 +503,6 @@ class OMG:
             )
         self.reset()
         self._next_index = int(snapshot["next_index"])
-        self._online_records = list(from_jsonable(snapshot["online_records"]))
         self._streaming.set_state(snapshot["streaming"])
 
     @classmethod

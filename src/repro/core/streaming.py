@@ -31,11 +31,16 @@ is fed through :meth:`StreamingEngine.ingest` (or ``ingest_batch``), the
 accumulated severity matrix equals what the offline
 :meth:`OMG.monitor` pass computes over the same items, exactly, for all
 four assertion families. Function-assertion evaluators keep bounded
-deques; consistency evaluators keep full-stream aggregates since the
-last reset — that exactness costs memory that grows with the stream
-(per-identifier observation values, the position→index map, the sparse
-severity log), so long-lived deployments should :meth:`reset` at
-episode boundaries. The O(assertions) per-item cost is amortized: an
+deques. Consistency evaluators keep full-stream aggregates since the
+last reset, and that exactness costs memory that grows with the stream:
+per-identifier attribute observations, per-item temporal severity
+counts, and the engine's sparse severity log. The temporal evaluator's
+position → item-index map is run-length coded, one segment per
+contiguous run of observed indices, so it stays at one segment unless
+its assertion was disabled and re-enabled. Fire records are not kept at
+all: each is returned once by ``ingest``/``ingest_batch``. Long-lived
+deployments should :meth:`reset` at episode boundaries. The
+O(assertions) per-item cost is amortized: an
 attribute-majority flip rescans its identifier's group, so a pathological
 stream alternating one identifier between two values degrades to
 O(group) on the items where the majority changes.
@@ -378,16 +383,20 @@ class TemporalConsistencyEvaluator(StreamingEvaluator):
         self._present_prev: set = set()
         self._next_pos = 0
         self._item_sev: Counter = Counter()
-        #: window position → item index (positions == indices since reset,
-        #: but kept explicit so severity lands on true stream indices).
-        self._index_of: dict = {}
+        #: Position → item index, run-length coded as ``[first_pos,
+        #: first_index]`` segments in position order: position ``p`` of
+        #: the segment starting at ``first_pos`` is item ``first_index +
+        #: p - first_pos``. Indices skip, and a segment starts, only
+        #: where the evaluator missed items (its assertion was disabled
+        #: for a while), so severity lands on true stream indices.
+        self._segments: list = []
 
     def reset(self) -> None:
         self._states = {}
         self._present_prev = set()
         self._next_pos = 0
         self._item_sev = Counter()
-        self._index_of = {}
+        self._segments = []
 
     def get_state(self) -> dict:
         return {
@@ -401,7 +410,7 @@ class TemporalConsistencyEvaluator(StreamingEvaluator):
             "present_prev": [to_jsonable(i) for i in self._present_prev],
             "next_pos": self._next_pos,
             "item_sev": [[int(i), int(c)] for i, c in sorted(self._item_sev.items())],
-            "index_of": [[int(p), int(i)] for p, i in sorted(self._index_of.items())],
+            "segments": [[int(p), int(i)] for p, i in self._segments],
         }
 
     def set_state(self, state: dict) -> None:
@@ -414,18 +423,26 @@ class TemporalConsistencyEvaluator(StreamingEvaluator):
         self._present_prev = {from_jsonable(i) for i in state["present_prev"]}
         self._next_pos = int(state["next_pos"])
         self._item_sev = Counter({int(i): int(c) for i, c in state["item_sev"]})
-        self._index_of = {int(p): int(i) for p, i in state["index_of"]}
+        self._segments = [[int(p), int(i)] for p, i in state["segments"]]
+
+    def _index_of(self, pos: int) -> int:
+        for first_pos, first_index in reversed(self._segments):
+            if pos >= first_pos:
+                return first_index + pos - first_pos
+        raise KeyError(pos)
 
     def _flag_span(self, start_pos: int, end_pos: int, changed: dict) -> None:
         for pos in range(start_pos, end_pos + 1):
-            index = self._index_of[pos]
+            index = self._index_of(pos)
             self._item_sev[index] += 1
             changed[index] = float(self._item_sev[index])
 
     def update(self, item: StreamItem) -> dict:
         pos = self._next_pos
         self._next_pos += 1
-        self._index_of[pos] = item.index
+        segments = self._segments
+        if not segments or segments[-1][1] + pos - segments[-1][0] != item.index:
+            segments.append([pos, item.index])
         threshold = float(self.spec.temporal_threshold)
         check_gaps = self.mode in ("gap", "both")
         check_runs = self.mode in ("run", "both")
@@ -462,10 +479,6 @@ class TemporalConsistencyEvaluator(StreamingEvaluator):
                 state.run_end_ts = item.timestamp
 
         self._present_prev = present
-        # Positions older than any possible revision can be forgotten once
-        # every identifier's pending gap/run would exceed the threshold;
-        # kept simple: the map grows with the stream (ints only) and is
-        # cleared on reset.
         return changed
 
 

@@ -22,10 +22,10 @@ Routing invariants (``tests/fleet/test_router.py`` pins each):
   and requests that were *in flight* when the connection died are failed
   (never resent — a resend could double-ingest against state the shard
   already applied before crashing).
-- **Merged views.** ``fleet_report`` stacks every shard's stream
-  reports through the same :func:`~repro.serve.service.build_fleet_report`
-  core a single service uses (rows in router first-seen order);
-  ``stats`` sums the shard ledgers and carries the per-stream and
+- **Merged views.** ``fleet_report`` answers every shard's stream
+  reports in one document, as a single server would (rows in router
+  first-seen order); the reports pass through as the shards encoded
+  them. ``stats`` sums the shard ledgers and carries the per-stream and
   per-shard breakdowns.
 
 **Live migration** (the ``migrate``/``rebalance`` ops) moves a stream
@@ -74,8 +74,6 @@ from repro.serve.net import (
     _ingest_pairs,
     _LineServer,
 )
-from repro.serve.service import build_fleet_report
-from repro.utils.codec import from_jsonable
 from repro.utils.framing import MAX_FRAME_BYTES, FrameError
 
 
@@ -370,13 +368,17 @@ class FleetRouter(_LineServer):
         if handler is None:
             conn.send(_error_doc(request_id, "bad-request", f"unknown op {op!r}"))
             return
-        task = asyncio.create_task(self._run_op(handler, request_id, request, conn))
+        task = asyncio.create_task(
+            self._run_op(handler, op, request_id, request, conn)
+        )
         self._tasks.add(task)
         task.add_done_callback(self._tasks.discard)
 
-    async def _run_op(self, handler, request_id, request: dict, conn) -> None:
+    async def _run_op(self, handler, op: str, request_id, request: dict, conn) -> None:
+        # A failure after part of the answer was written has closed the
+        # connection, so the error answers below are no-ops then.
         try:
-            result = await handler(request)
+            self._answer(conn, request_id, op, await handler(request))
         except _RouterOpError as exc:
             conn.send(
                 _error_doc(request_id, exc.error_type, str(exc), **exc.extra)
@@ -393,8 +395,6 @@ class FleetRouter(_LineServer):
                     request_id, "internal", f"{type(exc).__name__}: {exc}"
                 )
             )
-        else:
-            conn.send({"id": request_id, "ok": True, "result": result})
 
     # ------------------------------------------------------------------
     # Ingest forwarding
@@ -608,29 +608,25 @@ class FleetRouter(_LineServer):
         results = await asyncio.gather(
             *(self._links[name].request("fleet_report") for name in names)
         )
-        assertion_names = None
+        # The reports stay the decoded JSON the shards sent: re-emitting
+        # them needs no codec round trip.
         collected: dict = {}
         for result in results:
-            if assertion_names is None:
-                assertion_names = from_jsonable(result["aggregate"]).assertion_names
-            for stream_id, report in result["stream_reports"].items():
-                collected[stream_id] = from_jsonable(report)
+            collected.update(result["stream_reports"])
         # Rows stack in router first-seen order — the order a single
         # unsharded service would have created the sessions — with any
         # stream the router never touched (e.g. restored from a fleet
         # snapshot before traffic) appended in sorted order.
-        ordered: "OrderedDict" = OrderedDict()
-        for stream_id in self._routes:
-            if stream_id in collected:
-                ordered[stream_id] = collected.pop(stream_id)
-        for stream_id in sorted(collected):
-            ordered[stream_id] = collected[stream_id]
-        fleet = build_fleet_report(self.domain, ordered, assertion_names or [])
+        ordered = [
+            (stream_id, collected.pop(stream_id))
+            for stream_id in self._routes
+            if stream_id in collected
+        ]
+        ordered.extend((stream_id, collected[stream_id]) for stream_id in sorted(collected))
         return {
-            "domain": fleet.domain,
-            "stream_reports": dict(fleet.stream_reports),
-            "aggregate": fleet.aggregate,
-            "row_offsets": fleet.row_offsets,
+            "domain": self.domain,
+            "assertion_names": results[0]["assertion_names"],
+            "stream_reports": ordered,
         }
 
     async def _op_snapshot(self, request: dict) -> dict:

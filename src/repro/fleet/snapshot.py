@@ -18,6 +18,9 @@ run over the same per-stream unit sequences
 
 from __future__ import annotations
 
+import functools
+
+from repro.core.runtime import SnapshotFormatError
 from repro.fleet.ring import RoutingTable
 from repro.utils.io import atomic_write_json, read_json
 
@@ -29,19 +32,8 @@ FLEET_SNAPSHOT_FORMAT = 1
 #: loop-level payloads that also carry a ``format`` integer.
 FLEET_SNAPSHOT_KIND = "fleet"
 
-
-class SnapshotFormatError(ValueError):
-    """A snapshot payload with the wrong schema version or shape.
-
-    Carries ``found`` (the payload's version, or ``None``) and
-    ``supported`` so callers can render upgrade guidance; the message
-    already names both.
-    """
-
-    def __init__(self, message: str, *, found=None, supported=FLEET_SNAPSHOT_FORMAT):
-        super().__init__(message)
-        self.found = found
-        self.supported = supported
+#: The error every fleet-layer check raises, naming the supported format.
+_FormatError = functools.partial(SnapshotFormatError, supported=FLEET_SNAPSHOT_FORMAT)
 
 
 def fleet_snapshot_payload(
@@ -78,7 +70,7 @@ def validate_fleet_payload(payload) -> dict:
     ``KeyError`` from the middle of a shard restore.
     """
     if not isinstance(payload, dict):
-        raise SnapshotFormatError(
+        raise _FormatError(
             f"not a fleet snapshot: expected a JSON object, got {type(payload).__name__}"
         )
     found = payload.get("format")
@@ -89,12 +81,12 @@ def validate_fleet_payload(payload) -> dict:
             hint = " (this looks like a MonitorService snapshot — restore it with repro.serve.snapshot)"
         elif "registry" in payload:
             hint = " (this looks like an improvement-loop snapshot — restore it with repro.improve.snapshot)"
-        raise SnapshotFormatError(
+        raise _FormatError(
             f"not a fleet snapshot: kind={kind!r}, expected {FLEET_SNAPSHOT_KIND!r}{hint}",
             found=found,
         )
     if found != FLEET_SNAPSHOT_FORMAT:
-        raise SnapshotFormatError(
+        raise _FormatError(
             f"unsupported fleet snapshot format {found!r}; this build reads "
             f"format {FLEET_SNAPSHOT_FORMAT} — re-snapshot the fleet with a "
             "matching version instead of reusing this file",
@@ -102,14 +94,14 @@ def validate_fleet_payload(payload) -> dict:
         )
     for key in ("domain", "routing", "shards"):
         if key not in payload:
-            raise SnapshotFormatError(
+            raise _FormatError(
                 f"fleet snapshot (format {found}) lacks its {key!r} section — "
                 "the file is truncated or was not written by "
                 "repro.fleet.snapshot.save_fleet_snapshot",
                 found=found,
             )
     if not isinstance(payload["shards"], dict):
-        raise SnapshotFormatError(
+        raise _FormatError(
             "fleet snapshot 'shards' must map shard name -> service snapshot",
             found=found,
         )
@@ -128,7 +120,7 @@ def load_fleet_snapshot(path: str) -> dict:
     try:
         payload = read_json(path)
     except ValueError as exc:
-        raise SnapshotFormatError(f"{path} is not valid JSON: {exc}") from exc
+        raise _FormatError(f"{path} is not valid JSON: {exc}") from exc
     try:
         return validate_fleet_payload(payload)
     except SnapshotFormatError as exc:

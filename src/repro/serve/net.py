@@ -53,6 +53,20 @@ The protocol (request → response, one JSON document per line)::
        "error": {"type": "malformed-unit", "stream_id": "s0",
                  "message": "..."}}
 
+    {"op": "fleet_report", "id": 3}
+    → {"id": 3, "ok": true,
+       "result": {"domain": "ecg", "assertion_names": [...],
+                  "stream_reports": {"s0": <codec MonitoringReport>, ...}}}
+
+Protocol version 2 (echoed by ``ping``) dropped the stacked
+``aggregate`` and ``row_offsets`` from the ``fleet_report`` result: they
+repeated every severity row and fire record of ``stream_reports``.
+:meth:`ServiceClient.fleet_report` rebuilds them with
+:func:`~repro.serve.service.build_fleet_report`. The server writes that
+response one stream report at a time
+(:func:`~repro.utils.framing.encode_frame_pieces`), so answering it
+holds one stream's report, not the fleet's, besides the frame itself.
+
 Ops: ``ping``, ``ingest``, ``ingest_batch``, ``report``,
 ``fleet_report``, ``snapshot``, ``restore``, ``evict``, ``stats``,
 ``snapshot_stream``, ``restore_stream``, ``apply_suite``. The last
@@ -77,12 +91,25 @@ from repro.serve.service import (
     FleetReport,
     MonitorService,
     PairOutcome,
+    build_fleet_report,
 )
 from repro.utils.codec import from_jsonable, to_jsonable
-from repro.utils.framing import MAX_FRAME_BYTES, FrameError, decode_frame, encode_frame
+from repro.utils.framing import (
+    MAX_FRAME_BYTES,
+    FrameError,
+    decode_frame,
+    encode_frame,
+    encode_frame_pieces,
+)
 
 #: Protocol version, echoed by ``ping``.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
+
+#: Per-line bound on the responses a :class:`ServiceClient` reads (the
+#: router's shard links are clients too). Requests stay bounded by
+#: ``max_frame_bytes``; responses are larger by nature, since a
+#: ``fleet_report`` grows with every live stream.
+MAX_RESPONSE_BYTES = 256 * 1024 * 1024
 
 #: Slack over ``max_frame_bytes`` that a line may reach before the
 #: stream counts as unsynchronisable (answered once, then hung up).
@@ -111,7 +138,7 @@ class ServerConfig:
         Bound on queued-but-unfinished raw units; admission beyond it is
         rejected with an ``overloaded`` error (never silently dropped).
     max_frame_bytes:
-        Per-line bound on both received and sent frames.
+        Per-line bound on received request frames.
     """
 
     host: str = "127.0.0.1"
@@ -282,9 +309,25 @@ class _Connection(asyncio.BufferedProtocol):
 
     def send(self, document: dict) -> None:
         """Write one frame; a no-op once the connection is closing."""
+        self.send_pieces((encode_frame(document),))
+
+    def send_pieces(self, pieces) -> None:
+        """Write one frame given as consecutive byte pieces, each as soon
+        as ``pieces`` yields it; a no-op once the connection is closing.
+
+        If producing a piece raises, part of the frame may already be
+        written, and the peer cannot find the next line after it: the
+        connection is closed (frames written before still flush) and
+        the error re-raised.
+        """
         if self.closed:
             return
-        self.transport.write(encode_frame(document))
+        try:
+            for piece in pieces:
+                self.transport.write(piece)
+        except Exception:
+            self.close()
+            raise
         self._owed -= 1
         if self._eof and self._owed <= 0:
             self.transport.close()
@@ -395,6 +438,22 @@ class _LineServer:
 
     def _pong(self) -> dict:
         return {"domain": self._domain_name, "protocol": PROTOCOL_VERSION}
+
+    @staticmethod
+    def _answer(conn: _Connection, request_id, op: str, result: dict) -> None:
+        """Write the ok response to a control op.
+
+        A ``fleet_report`` result carries its ``stream_reports`` as
+        ``(stream_id, report)`` pairs; they go out one per piece of the
+        frame, in order, each encoded only when its turn comes.
+        """
+        document = {"id": request_id, "ok": True, "result": result}
+        if op != "fleet_report":
+            conn.send(document)
+            return
+        reports = result["stream_reports"]
+        document["result"] = {**result, "stream_reports": {}}
+        conn.send_pieces(encode_frame_pieces(document, reports))
 
     def _handle_overrun(self, conn: _Connection) -> None:
         conn.send(_error_doc(None, "bad-request", "frame too long"))
@@ -615,27 +674,24 @@ class MonitorServer(_LineServer):
         }
 
     def _execute_control(self, op: str, request_id, request: dict, conn) -> None:
+        # A failure after part of the answer was written has closed the
+        # connection, so the error answers below are no-ops then.
         try:
-            result = self._control(op, request)
+            self._answer(conn, request_id, op, self._control(op, request))
         except KeyError as exc:
             conn.send(
                 _error_doc(
                     request_id, "unknown-stream", f"no live stream {exc.args[0]!r}"
                 )
             )
-            return
         except BrokenSessionError as exc:
             conn.send(_error_doc(request_id, "broken-session", str(exc)))
-            return
         except ValueError as exc:
             conn.send(_error_doc(request_id, "bad-request", str(exc)))
-            return
         except Exception as exc:
             conn.send(
                 _error_doc(request_id, "internal", f"{type(exc).__name__}: {exc}")
             )
-            return
-        conn.send({"id": request_id, "ok": True, "result": result})
 
     def _control(self, op: str, request: dict) -> dict:
         # Runs on the event loop between batches, like ingest batches,
@@ -649,12 +705,12 @@ class MonitorServer(_LineServer):
                 "report": self.service.report(stream_id),
             }
         if op == "fleet_report":
-            fleet = self.service.fleet_report()
+            # Reports are built lazily, while _answer writes the frame
+            # in the same callback, so no session changes meanwhile.
             return {
-                "domain": fleet.domain,
-                "stream_reports": dict(fleet.stream_reports),
-                "aggregate": fleet.aggregate,
-                "row_offsets": fleet.row_offsets,
+                "domain": self.service.domain.name,
+                "assertion_names": self.service.assertion_names(),
+                "stream_reports": self.service.stream_reports(),
             }
         if op == "snapshot":
             return {"snapshot": self.service.snapshot()}
@@ -797,7 +853,7 @@ class ServiceClient:
     async def connect(cls, host: str, port: int) -> "ServiceClient":
         client = cls()
         await asyncio.get_running_loop().create_connection(
-            lambda: _Connection(client, MAX_FRAME_BYTES + _READ_SLACK), host, port
+            lambda: _Connection(client, MAX_RESPONSE_BYTES + _READ_SLACK), host, port
         )
         return client
 
@@ -824,7 +880,7 @@ class ServiceClient:
 
     def _handle_line(self, line: bytes, conn: _Connection) -> None:
         try:
-            response = decode_frame(line)
+            response = decode_frame(line, max_bytes=MAX_RESPONSE_BYTES)
             if not isinstance(response, dict):
                 raise FrameError(
                     f"expected a response object, got {type(response).__name__}"
@@ -913,15 +969,15 @@ class ServiceClient:
         return from_jsonable(result["report"])
 
     async def fleet_report(self) -> FleetReport:
+        """The per-stream reports, with the fleet aggregate stacked here
+        the way :meth:`MonitorService.fleet_report` stacks it."""
         result = await self.request("fleet_report")
-        return FleetReport(
-            domain=result["domain"],
-            stream_reports=OrderedDict(
-                (sid, from_jsonable(report))
-                for sid, report in result["stream_reports"].items()
-            ),
-            aggregate=from_jsonable(result["aggregate"]),
-            row_offsets=result["row_offsets"],
+        stream_reports = OrderedDict(
+            (sid, from_jsonable(report))
+            for sid, report in result["stream_reports"].items()
+        )
+        return build_fleet_report(
+            result["domain"], stream_reports, result["assertion_names"]
         )
 
     async def snapshot(self) -> dict:

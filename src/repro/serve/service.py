@@ -36,7 +36,7 @@ import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -798,16 +798,30 @@ class MonitorService:
         Broken sessions (see :class:`StreamSession`) are excluded — their
         state is indeterminate; evict them to clear the slot.
         """
+        stream_reports = OrderedDict(self.stream_reports())
+        return build_fleet_report(
+            self.domain.name, stream_reports, self.assertion_names()
+        )
+
+    def stream_reports(self) -> Iterator:
+        """``(stream_id, report)`` of every live, unbroken stream, in
+        :meth:`fleet_report` row order, each report built only when the
+        iterator reaches it. Expired sessions are purged first.
+
+        The sessions must not change while the iterator is in use.
+        """
         self._purge_expired(self._clock())
-        stream_reports: "OrderedDict[str, MonitoringReport]" = OrderedDict()
-        for stream_id, session in self._sessions.items():
-            if session.broken is None:
-                stream_reports[stream_id] = session.report()
+        return (
+            (stream_id, session.report())
+            for stream_id, session in self._sessions.items()
+            if session.broken is None
+        )
+
+    def assertion_names(self) -> list:
+        """The column names a new session's report carries."""
         if self._suite is not None:
-            names = self._suite.assertion_names()
-        else:
-            names = self.domain.build_monitor().database.names()
-        return build_fleet_report(self.domain.name, stream_reports, names)
+            return self._suite.assertion_names()
+        return self.domain.build_monitor().database.names()
 
     # ------------------------------------------------------------------
     # Snapshot / restore
@@ -844,16 +858,18 @@ class MonitorService:
         replaces are evicted first (``on_evict`` hooks fire), so an
         on-evict persistence layer sees them before they are dropped.
         """
+        # Shape first: a monitor-level payload has a format tag of its
+        # own, and the hint below is what its owner needs.
+        if "domain" not in payload or "sessions" not in payload:
+            raise ValueError(
+                "not a MonitorService snapshot: payload lacks domain/sessions "
+                "(an OMG-level snapshot restores via OMG.restore, not here)"
+            )
         fmt = payload.get("format")
         if fmt != SERVICE_SNAPSHOT_FORMAT:
             raise ValueError(
                 f"unsupported service snapshot format {fmt!r} "
                 f"(expected {SERVICE_SNAPSHOT_FORMAT})"
-            )
-        if "domain" not in payload or "sessions" not in payload:
-            raise ValueError(
-                "not a MonitorService snapshot: payload lacks domain/sessions "
-                "(an OMG-level snapshot restores via OMG.restore, not here)"
             )
         if payload["domain"] != self.domain.name:
             raise ValueError(

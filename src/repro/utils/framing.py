@@ -62,6 +62,30 @@ def encode_frame(obj) -> bytes:
     return text.encode("utf-8") + b"\n"
 
 
+def encode_frame_pieces(document: dict, entries):
+    """:func:`encode_frame` of a document with one large object, in pieces.
+
+    ``document`` ends in an empty dict: it is the last value of the
+    document, or of the last value, and so on down. ``entries`` yields
+    that dict's ``(key, value)`` pairs. The generator encodes one entry
+    per piece, only as it is asked for the next piece, so the entries
+    need never be in memory at once. The pieces joined equal
+    ``encode_frame`` of the document with the dict filled, byte for
+    byte, and each value's part of its piece is that value's own
+    ``encode_frame`` minus the newline.
+    """
+    head = encode_frame(document)
+    # Nothing but closing braces follows the empty dict, so its "{}" is
+    # the last one in the frame.
+    cut = head.rindex(b"{}") + 1
+    yield head[:cut]
+    sep = b""
+    for key, value in entries:
+        yield sep + encode_frame({key: value})[1:-2]
+        sep = b","
+    yield head[cut:]
+
+
 def decode_frame(line: "bytes | str", *, max_bytes: int = MAX_FRAME_BYTES):
     """Parse one received line into a plain JSON structure.
 

@@ -29,15 +29,21 @@ import numpy as np
 from repro.geometry.box2d import Box2D
 from repro.geometry.box3d import Box3D
 from repro.geometry.camera import PinholeCamera, project_box3d_to_2d
+from repro.utils.codec import register_result_type
 from repro.utils.rng import as_generator
 from repro.worlds import rendering
 
 AV_CLASSES = ("car", "truck")
 
 
+@register_result_type
 @dataclass(frozen=True)
 class AVSample:
-    """One 2 Hz sample: point cloud + camera frame + ground truth."""
+    """One 2 Hz sample: point cloud + camera frame + ground truth.
+
+    Codec-registered: it is the raw unit ``repro serve av`` ingests over
+    the wire.
+    """
 
     scene_id: int
     index: int  # sample index within the scene

@@ -18,6 +18,8 @@ incremental majority tracking and retroactive gap/run attribution are
 easiest to get wrong.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -95,25 +97,31 @@ def offline_report(items):
     return OMG(build_database(), window_size=4096).monitor(items)
 
 
-def feed_observe(items) -> OMG:
+def feed_observe(items, records=None) -> OMG:
+    """Feed item by item; ``records`` collects what ``observe`` returns."""
     omg = OMG(build_database(), window_size=4096)
     for item in items:
-        omg.observe(None, list(item.outputs), timestamp=item.timestamp)
+        fresh = omg.observe(None, list(item.outputs), timestamp=item.timestamp)
+        if records is not None:
+            records.extend(fresh)
     return omg
 
 
-def feed_observe_batch(items, seed: int) -> OMG:
-    """Feed in random-size chunks (1–8 items) via ``observe_batch``."""
+def feed_observe_batch(items, seed: int, records=None) -> OMG:
+    """Feed in random-size chunks (1–8 items) via ``observe_batch``;
+    ``records`` collects each chunk's fresh records."""
     omg = OMG(build_database(), window_size=4096)
     rng = np.random.default_rng(seed + 10_000)
     pos = 0
     while pos < len(items):
         chunk = items[pos : pos + int(rng.integers(1, 9))]
-        omg.observe_batch(
+        report = omg.observe_batch(
             None,
             [list(item.outputs) for item in chunk],
             timestamps=[item.timestamp for item in chunk],
         )
+        if records is not None:
+            records.extend(report.records)
         pos += len(chunk)
     return omg
 
@@ -139,9 +147,10 @@ class TestOnlineOfflineEquivalence:
         """Fire records (incl. retroactive revisions) agree across paths."""
         items = random_stream(seed)
         key = lambda r: (r.item_index, r.assertion_name, r.severity)
-        single = list(map(key, feed_observe(items).online_records))
-        batched = list(map(key, feed_observe_batch(items, seed).online_records))
-        assert single == batched
+        single, batched = [], []
+        feed_observe(items, single)
+        feed_observe_batch(items, seed, batched)
+        assert list(map(key, single)) == list(map(key, batched))
 
     @pytest.mark.parametrize("seed", SEEDS[:6])
     def test_streaming_newest_records_match_legacy_for_function_assertions(self, seed):
@@ -170,6 +179,69 @@ class TestOnlineOfflineEquivalence:
                 for r in newest
                 if r.assertion_name in functional and r.item_index == item.index
             ) == sorted(key(r) for r in got_streaming if r.assertion_name in functional)
+
+
+TEMPORAL = ["track:temporal:gap", "track:temporal:run", "track:temporal"]
+
+
+def feed_with_temporal_gap(items, a: int, b: int, snapshot: bool) -> OMG:
+    """Feed ``items`` with the temporal assertions disabled for
+    ``items[a:b]``; with ``snapshot``, the monitor is snapshotted while
+    they are disabled and a fresh one restored (through JSON) before
+    they are re-enabled."""
+    def build() -> OMG:
+        omg = OMG(build_database(), window_size=4096)
+        for name in TEMPORAL:
+            omg.database.disable(name)
+        return omg
+
+    omg = OMG(build_database(), window_size=4096)
+    for k, item in enumerate(items):
+        if k == a:
+            for name in TEMPORAL:
+                omg.database.disable(name)
+        if k == b:
+            if snapshot:
+                payload = json.loads(json.dumps(omg.snapshot()))
+                omg = build()
+                omg.restore(payload)
+            for name in TEMPORAL:
+                omg.database.enable(name)
+        omg.observe(None, list(item.outputs), timestamp=item.timestamp)
+    return omg
+
+
+class TestDisableEnableAcrossSnapshot:
+    @pytest.mark.parametrize("seed", SEEDS[:8])
+    def test_temporal_columns_skip_the_disabled_items(self, seed):
+        """Re-enabled temporal evaluators resume at a later item index,
+        so each maps positions through a second run-length segment. Their
+        columns equal the offline monitor over the items they saw, at
+        those items' indices; every other column equals the offline
+        monitor over the whole stream; and a snapshot taken while they
+        were disabled changes nothing."""
+        items = random_stream(seed)
+        a, b = len(items) // 3, 2 * len(items) // 3
+        resumed = feed_with_temporal_gap(items, a, b, snapshot=True)
+        uninterrupted = feed_with_temporal_gap(items, a, b, snapshot=False)
+        report = resumed.online_report()
+        np.testing.assert_array_equal(
+            report.severities, uninterrupted.online_report().severities
+        )
+
+        seen = items[:a] + items[b:]
+        offline_seen = offline_report(seen)
+        offline_all = offline_report(items)
+        for name in report.assertion_names:
+            if name in TEMPORAL:
+                expected = np.zeros(len(items))
+                expected[[item.index for item in seen]] = offline_seen.column(name)
+            else:
+                expected = offline_all.column(name)
+            np.testing.assert_array_equal(report.column(name), expected, err_msg=name)
+        for name in TEMPORAL:
+            evaluator = resumed._streaming._evaluators[name]
+            assert evaluator.get_state()["segments"] == [[0, 0], [a, b]]
 
 
 class TestRetroactiveAttribution:

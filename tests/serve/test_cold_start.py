@@ -17,6 +17,7 @@ import pytest
 
 import repro
 from repro.domains.registry import domain_names, get_domain
+from repro.serve import MonitorService
 from repro.utils.codec import to_jsonable
 
 SRC = str(Path(repro.__file__).resolve().parent.parent)
@@ -76,11 +77,10 @@ def _dataclass_tags(node, tags: set) -> set:
 
 @pytest.mark.parametrize("name", domain_names())
 def test_wire_types_are_registered_on_the_serving_path(name):
-    if name == "av":
-        pytest.skip("av units carry an AVSample, which the codec does not encode")
     domain = get_domain(name)
     stream = domain.iter_stream(domain.build_world(3))
-    units = [to_jsonable(next(stream)) for _ in range(3)]
+    originals = [next(stream) for _ in range(3)]
+    units = [to_jsonable(unit) for unit in originals]
     tags = _dataclass_tags(units, set())
     assert tags  # the check below would pass vacuously otherwise
 
@@ -101,6 +101,7 @@ print(json.dumps({
     "registered": registered,
     "round_trip": round_trip,
     "n_raw": service.session("s0").n_raw,
+    "report": to_jsonable(service.report("s0")),
     "scipy": "scipy" in sys.modules,
 }))
 """,
@@ -112,3 +113,8 @@ print(json.dumps({
     # serving the units needs no scipy either
     assert result["n_raw"] == len(units)
     assert result["scipy"] is False
+    # wire-decoded units give the report the original units give
+    service = MonitorService(name)
+    for unit in originals:
+        service.ingest("s0", unit)
+    assert result["report"] == to_jsonable(service.report("s0"))

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.core.runtime import SNAPSHOT_FORMAT, SnapshotFormatError
 from repro.domains.registry import get_domain
 from repro.serve import (
     MonitorService,
@@ -27,28 +28,31 @@ class TestOMGSnapshot:
     def make_monitor(self):
         return SyntheticDomain().build_monitor()
 
-    def feed(self, monitor, raws, start=0, stop=None):
+    def feed(self, monitor, raws, start=0, stop=None) -> list:
+        """Observe ``raws[start:stop]``; the fire records returned."""
+        records = []
         for raw in raws[start:stop]:
-            monitor.observe(None, raw)
+            records.extend(monitor.observe(None, raw))
+        return records
 
     def test_snapshot_restore_continue_is_bit_identical(self):
         raws = raw_units(7, 60)
         for cut in (0, 1, 17, 59, 60):
             uninterrupted = self.make_monitor()
-            self.feed(uninterrupted, raws)
+            all_records = self.feed(uninterrupted, raws)
 
             first = self.make_monitor()
-            self.feed(first, raws, stop=cut)
+            records = self.feed(first, raws, stop=cut)
             payload = json_round_trip(first.snapshot())
 
             resumed = self.make_monitor()
             resumed.restore(payload)
-            self.feed(resumed, raws, start=cut)
+            records += self.feed(resumed, raws, start=cut)
 
             a, b = uninterrupted.online_report(), resumed.online_report()
             assert_reports_equal(a, b)
             assert resumed.n_observed == uninterrupted.n_observed
-            assert resumed.online_records == uninterrupted.online_records
+            assert records == all_records
 
     def test_restore_validates_window_size(self):
         monitor = self.make_monitor()
@@ -71,6 +75,26 @@ class TestOMGSnapshot:
         payload["format"] = 999
         with pytest.raises(ValueError, match="format"):
             monitor.restore(payload)
+
+    def test_format_1_payload_is_refused_by_name(self):
+        # Format 1 carried a copy of every fire record and a per-item
+        # temporal index map; format 2 reads neither.
+        monitor = self.make_monitor()
+        self.feed(monitor, raw_units(5, 12))
+        payload = json_round_trip(monitor.snapshot())
+        assert payload["format"] == SNAPSHOT_FORMAT == 2
+        payload["format"] = 1
+        payload["online_records"] = []
+        with pytest.raises(SnapshotFormatError, match="format 1") as err:
+            self.make_monitor().restore(payload)
+        assert (err.value.found, err.value.supported) == (1, SNAPSHOT_FORMAT)
+
+        service = MonitorService(SyntheticDomain())
+        service.ingest("s0", raw_units(5, 1)[0])
+        old = json_round_trip(service.snapshot())
+        old["sessions"][0][1]["monitor"]["format"] = 1
+        with pytest.raises(SnapshotFormatError, match="format 1"):
+            MonitorService(SyntheticDomain()).restore(old)
 
     def test_pre_stream_snapshot_restores_empty_state(self):
         monitor = self.make_monitor()

@@ -24,8 +24,9 @@ from repro.core.types import AssertionRecord
 from repro.domains.registry import Domain, RawItem, get_domain
 from repro.serve import MonitorServer, MonitorService, ServerConfig, ServiceClient
 from repro.utils.codec import registered_result_types, to_jsonable
-from repro.utils.framing import encode_frame
+from repro.utils.framing import encode_frame, encode_frame_pieces
 from tests.fleet.test_router import sharded
+from tests.serve.test_large_reports import capture_connection
 
 
 def reference_to_jsonable(obj):
@@ -197,9 +198,8 @@ class TestEncodeFrame:
                 "ok": True,
                 "result": {
                     "domain": fleet.domain,
+                    "assertion_names": fleet.aggregate.assertion_names,
                     "stream_reports": dict(fleet.stream_reports),
-                    "aggregate": fleet.aggregate,
-                    "row_offsets": fleet.row_offsets,
                 },
             },
             "session snapshot": {
@@ -225,6 +225,41 @@ class TestEncodeFrame:
         for name, doc in docs.items():
             assert encode_frame(doc) == reference_frame(doc), name
 
+    def test_streamed_fleet_report_frame_equals_encode_frame(self, tvnews):
+        """The server writes the fleet_report answer one stream report
+        per piece; the pieces make up exactly the frame ``encode_frame``
+        gives for the whole document, and each stream's piece holds that
+        report's own ``encode_frame`` bytes."""
+        service, units, fires = tvnews
+        server = MonitorServer(service)
+
+        async def answer():
+            transport, conn = capture_connection(server)
+            server._handle_line(encode_frame({"op": "fleet_report", "id": 5}), conn)
+            return transport
+
+        written = bytes(asyncio.run(answer()).data)
+        reports = dict(service.stream_reports())
+        doc = {
+            "id": 5,
+            "ok": True,
+            "result": {
+                "domain": "tvnews",
+                "assertion_names": service.assertion_names(),
+                "stream_reports": reports,
+            },
+        }
+        assert written == encode_frame(doc) == reference_frame(doc)
+
+        head = dict(doc, result=dict(doc["result"], stream_reports={}))
+        pieces = list(encode_frame_pieces(head, reports.items()))
+        assert b"".join(pieces) == written
+        assert len(pieces) == len(reports) + 2
+        for k, (sid, report) in enumerate(reports.items()):
+            sep = b"," if k else b""
+            key = encode_frame(sid)[:-1]
+            assert pieces[1 + k] == sep + key + b":" + encode_frame(report)[:-1]
+
     def test_numpy_values_inside_plain_documents(self):
         doc = {
             "a": np.arange(3),
@@ -246,7 +281,9 @@ class TestEncodeFrame:
 
     def test_every_frame_of_a_fleet_run_matches_the_reference(self, monkeypatch):
         """Record every frame the client, the router and both shards
-        write during a tvnews run with a live migration and a restore."""
+        write during a tvnews run with a live migration and a restore.
+        The ``fleet_report`` answers are written in pieces, not through
+        ``encode_frame``; the test above pins their bytes."""
         frames = []
         real = net.encode_frame
 

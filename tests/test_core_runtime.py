@@ -72,9 +72,8 @@ class TestOnlineMonitoring:
     def test_observe_records_only_new_item(self):
         omg = OMG()
         omg.add_assertion(count_assertion, "many")
-        assert omg.observe(None, [1, 2, 3]) != []
-        assert omg.observe(None, [1]) == []
-        assert len(omg.online_records) == 1
+        records = omg.observe(None, [1, 2, 3]) + omg.observe(None, [1])
+        assert [r.item_index for r in records] == [0]
 
     def test_on_fire_callback(self):
         omg = OMG()
@@ -97,7 +96,7 @@ class TestOnlineMonitoring:
         omg.add_assertion(count_assertion, "many")
         omg.observe(None, [1, 2, 3])
         omg.reset()
-        assert omg.online_records == []
+        assert omg.online_report().n_items == 0
         assert omg.observe(None, [1]) == []
 
     def test_timestamps_default_to_index(self):
@@ -132,7 +131,7 @@ class TestOnlineMonitoring:
         omg.reset()
         records = omg.observe(None, [1, 2, 3])
         assert [r.item_index for r in records] == [0]
-        assert omg.online_records == records
+        assert omg.online_report().records == records
         assert [i.index for i in omg._history] == [0]
 
 
