@@ -53,7 +53,11 @@ from repro.utils.codec import from_jsonable, register_result_type, to_jsonable
 #: Version tag of the :meth:`OMG.snapshot` payload layout. Format 2
 #: dropped the copy of every fire record (``online_records``) and
 #: run-length codes the temporal evaluators' position → index map.
-SNAPSHOT_FORMAT = 2
+#: Format 3 writes state in columns: each attribute group as a value
+#: dictionary with delta-coded item indices and run-length-coded value
+#: codes, and the severity log and temporal item severities as index and
+#: value lists.
+SNAPSHOT_FORMAT = 3
 
 
 class SnapshotFormatError(ValueError):

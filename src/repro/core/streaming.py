@@ -15,7 +15,8 @@ O(assertions) amortized:
   the function runs once per item instead of once per (item, window
   position) pair.
 - :class:`AttributeConsistencyEvaluator` — per-identifier observation
-  groups with incrementally-maintained majority values; emits
+  groups, each a value dictionary plus item-index and value-code
+  columns, with an incrementally-maintained majority; emits
   *retroactive* severity revisions when a late observation flips a
   group's majority.
 - :class:`TemporalConsistencyEvaluator` — per-identifier presence runs;
@@ -34,7 +35,9 @@ four assertion families. Function-assertion evaluators keep bounded
 deques. Consistency evaluators keep full-stream aggregates since the
 last reset, and that exactness costs memory that grows with the stream:
 per-identifier attribute observations, per-item temporal severity
-counts, and the engine's sparse severity log. The temporal evaluator's
+counts, and the engine's sparse severity log. An attribute observation
+costs two array slots (item index and value code, ~12 B); each distinct
+value is held once, in its group's dictionary. The temporal evaluator's
 position → item-index map is run-length coded, one segment per
 contiguous run of observed indices, so it stays at one segment unless
 its assertion was disabled and re-enabled. Fire records are not kept at
@@ -57,7 +60,9 @@ to a positive severity, and can materialize the log as a
 from __future__ import annotations
 
 import abc
+from array import array
 from collections import Counter, deque
+from itertools import accumulate, groupby, repeat
 from typing import Any
 
 import numpy as np
@@ -69,6 +74,45 @@ from repro.core.consistency import (
 )
 from repro.core.types import AssertionRecord, StreamItem
 from repro.utils.codec import from_jsonable, to_jsonable
+
+
+def _deltas(values) -> list:
+    """Delta code integers: the first, then each one's step from the last.
+
+    ``list(accumulate(_deltas(values)))`` gives ``values`` back.
+    """
+    deltas, previous = [], 0
+    for value in values:
+        deltas.append(value - previous)
+        previous = value
+    return deltas
+
+
+def _runs(values) -> list:
+    """Run-length code ``values`` as a flat ``[value, count, …]`` list."""
+    flat: list = []
+    for value, run in groupby(values):
+        flat += (value, sum(1 for _ in run))
+    return flat
+
+
+def _unruns(flat: list):
+    """Iterate the values a :func:`_runs` list codes."""
+    for value, count in zip(flat[0::2], flat[1::2]):
+        yield from repeat(value, count)
+
+
+def _sparse_columns(mapping: dict, cast) -> list:
+    """``{index: value}`` as ``[indices, values]``: ascending indices,
+    delta coded, and the ``cast`` values at them."""
+    indices = sorted(mapping)
+    return [_deltas(indices), [cast(mapping[i]) for i in indices]]
+
+
+def _sparse_from_columns(columns: list, cast) -> dict:
+    """Inverse of :func:`_sparse_columns`."""
+    indices, values = columns
+    return dict(zip(accumulate(indices), map(cast, values)))
 
 
 class StreamingEvaluator(abc.ABC):
@@ -99,9 +143,9 @@ class StreamingEvaluator(abc.ABC):
         """JSON-encodable rolling state (see :meth:`OMG.snapshot`).
 
         The payload uses the :mod:`repro.utils.codec` encoding for
-        non-primitive leaves and pair lists wherever keys are not
-        strings, so ``json.dumps`` round-trips it bit-exactly. Stateless
-        evaluators return ``{}``.
+        non-primitive leaves and lists (pairs or index/value columns)
+        wherever keys are not strings, so ``json.dumps`` round-trips it
+        bit-exactly. Stateless evaluators return ``{}``.
         """
         return {}
 
@@ -207,29 +251,58 @@ class WindowedReplayEvaluator(StreamingEvaluator):
 
 
 class _AttrGroup:
-    """Rolling state for one identifier of an attribute assertion."""
+    """Rolling state for one identifier of an attribute assertion.
 
-    __slots__ = ("observations", "counts", "first_seen", "majority", "contrib")
+    Observations are two parallel columns in arrival order: ``indices``
+    (item index) and ``codes`` (value code). A code indexes the group's
+    value dictionary: ``values[code]`` is the first-seen object of that
+    value, and ``code_of`` maps a value to its code under dict equality,
+    the equality the offline ``Counter`` groups by. Codes are handed out
+    in first-seen order, so the offline majority (most common, first
+    occurrence wins ties) is the code with the highest count and, among
+    those, the lowest code.
+    """
+
+    __slots__ = ("indices", "codes", "values", "code_of", "counts", "majority", "contrib")
 
     def __init__(self) -> None:
-        #: (item_index, value) per kept observation, in arrival order.
-        self.observations: list = []
-        self.counts: Counter = Counter()
-        #: value → arrival position of its first occurrence (tie-break).
-        self.first_seen: dict = {}
-        self.majority: Any = None
+        self.indices = array("q")
+        self.codes = array("i")
+        self.values: list = []
+        self.code_of: dict = {}
+        #: code → number of observations of that value.
+        self.counts: list = []
+        #: Majority code; -1 while the group is empty.
+        self.majority = -1
         #: item_index → deviation count this group currently contributes.
         self.contrib: dict = {}
+
+    def add(self, index: int, value: Any) -> int:
+        """Append one observation; return its code."""
+        code = self.code_of.get(value)
+        if code is None:
+            code = self.code_of[value] = len(self.values)
+            self.values.append(value)
+            self.counts.append(0)
+        self.indices.append(index)
+        self.codes.append(code)
+        self.counts[code] += 1
+        return code
+
+    def active(self) -> bool:
+        """Offline deviations exist only with ≥ 2 observations of ≥ 2 values."""
+        return len(self.indices) >= 2 and len(self.values) >= 2
 
 
 class AttributeConsistencyEvaluator(StreamingEvaluator):
     """Incremental form of :class:`AttributeConsistencyAssertion`.
 
-    Maintains, per identifier, the multiset of attribute values and the
-    current majority under the offline tie-break (most common, first
-    occurrence wins ties). A new observation normally costs O(1); when it
-    flips the group's majority, the group's deviations are recomputed and
-    the affected items' severities are revised retroactively.
+    Maintains, per identifier, the observed values as codes into a value
+    dictionary (:class:`_AttrGroup`), their counts, and the current
+    majority under the offline tie-break (most common, first occurrence
+    wins ties). A new observation normally costs O(1); when it flips the
+    group's majority, the group's deviations are recomputed and the
+    affected items' severities are revised retroactively.
     """
 
     def __init__(self, assertion: AttributeConsistencyAssertion) -> None:
@@ -237,22 +310,26 @@ class AttributeConsistencyEvaluator(StreamingEvaluator):
         self.spec = assertion.spec
         self.attr_key = assertion.attr_key
         self._groups: dict = {}
-        self._item_sev: Counter = Counter()
+        #: item_index → total deviation count; positive entries only.
+        self._item_sev: dict = {}
 
     def reset(self) -> None:
         self._groups = {}
-        self._item_sev = Counter()
+        self._item_sev = {}
 
     def get_state(self) -> dict:
-        # Per-group observation lists are the whole truth: counts,
-        # first-seen order, the majority (most common, first occurrence
-        # wins ties), per-item contributions, and the item severity
-        # counter are all pure functions of them, recomputed on restore.
+        # Each group as ``[identifier, values, indices, codes]``: the
+        # value dictionary, the item indices delta coded and the codes
+        # run-length coded. Counts, the majority, per-item contributions
+        # and the item severities are pure functions of these columns,
+        # recomputed on restore.
         return {
             "groups": [
                 [
                     to_jsonable(identifier),
-                    [[int(idx), to_jsonable(value)] for idx, value in group.observations],
+                    [to_jsonable(value) for value in group.values],
+                    _deltas(group.indices),
+                    _runs(group.codes),
                 ]
                 for identifier, group in self._groups.items()
             ]
@@ -260,45 +337,64 @@ class AttributeConsistencyEvaluator(StreamingEvaluator):
 
     def set_state(self, state: dict) -> None:
         self.reset()
-        for encoded_id, observations in state["groups"]:
-            identifier = from_jsonable(encoded_id)
-            group = self._groups[identifier] = _AttrGroup()
-            for idx, encoded_value in observations:
-                value = from_jsonable(encoded_value)
-                group.observations.append((int(idx), value))
-                group.counts[value] += 1
-                group.first_seen.setdefault(value, len(group.observations) - 1)
-            if group.counts:
-                group.majority = max(
-                    group.counts,
-                    key=lambda v: (group.counts[v], -group.first_seen[v]),
+        for encoded_id, values, indices, codes in state["groups"]:
+            group = self._groups[from_jsonable(encoded_id)] = _AttrGroup()
+            group.values = [from_jsonable(value) for value in values]
+            # JSON decodes every NaN to one float object, so distinct NaN
+            # values come back equal-keyed: each keeps its code, and a
+            # later lookup of that object finds the first.
+            for code, value in enumerate(group.values):
+                group.code_of.setdefault(value, code)
+            group.indices = array("q", accumulate(indices))
+            group.codes = array("i", _unruns(codes))
+            if len(group.indices) != len(group.codes):
+                raise ValueError(
+                    f"attribute group {encoded_id!r} has {len(group.indices)} "
+                    f"indices but {len(group.codes)} codes"
                 )
+            group.counts = [0] * len(group.values)
+            for code in group.codes:
+                group.counts[code] += 1
+            if group.counts:
+                group.majority = group.counts.index(max(group.counts))
             group.contrib = self._group_deviations(group)
             for idx, n in group.contrib.items():
-                self._item_sev[idx] += n
+                self._item_sev[idx] = self._item_sev.get(idx, 0) + n
 
     def _group_deviations(self, group: _AttrGroup) -> dict:
         """item_index → deviation count under the group's current majority."""
-        if len(group.observations) < 2 or len(group.counts) < 2:
+        if not group.active():
             return {}
+        # Per code, whether its value deviates. Compare the dictionary's
+        # objects, not codes: a float NaN majority is ``!=`` to itself,
+        # so its own code deviates too, as offline ``value != majority``.
+        majority = group.values[group.majority]
+        deviant = [value != majority for value in group.values]
         contrib: dict = {}
-        for item_index, value in group.observations:
-            if value != group.majority:
+        for item_index, code in zip(group.indices, group.codes):
+            if deviant[code]:
                 contrib[item_index] = contrib.get(item_index, 0) + 1
         return contrib
+
+    def _bump(self, item_index: int, delta: int, changed: dict) -> None:
+        severity = self._item_sev.get(item_index, 0) + delta
+        if severity:
+            self._item_sev[item_index] = severity
+        else:
+            del self._item_sev[item_index]
+        changed[item_index] = float(severity)
 
     def _apply_contrib(self, group: _AttrGroup, new_contrib: dict, changed: dict) -> None:
         for item_index in set(group.contrib) | set(new_contrib):
             delta = new_contrib.get(item_index, 0) - group.contrib.get(item_index, 0)
             if delta:
-                self._item_sev[item_index] += delta
-                changed[item_index] = float(self._item_sev[item_index])
+                self._bump(item_index, delta, changed)
         group.contrib = new_contrib
 
     def update(self, item: StreamItem) -> dict:
         changed: dict = {}
         touched: dict = {}  # identifier → needs full rescan (flip/activation)
-        added: dict = {}  # identifier → values this item contributed
+        added: dict = {}  # identifier → codes this item contributed
         for output in item.outputs:
             identifier = self.spec.id_fn(output)
             if identifier is None:
@@ -306,49 +402,42 @@ class AttributeConsistencyEvaluator(StreamingEvaluator):
             attrs = self.spec.attributes_of(output)
             if self.attr_key not in attrs:
                 continue
-            value = attrs[self.attr_key]
             group = self._groups.get(identifier)
             if group is None:
                 group = self._groups[identifier] = _AttrGroup()
-            was_active = len(group.observations) >= 2 and len(group.counts) >= 2
+            was_active = group.active()
             old_majority = group.majority
-            group.observations.append((item.index, value))
-            group.counts[value] += 1
-            group.first_seen.setdefault(value, len(group.observations) - 1)
-            if (
-                group.majority is None
-                or group.counts[value] > group.counts[group.majority]
-                or (
-                    group.counts[value] == group.counts[group.majority]
-                    and group.first_seen[value] < group.first_seen[group.majority]
-                )
+            code = group.add(item.index, attrs[self.attr_key])
+            counts = group.counts
+            if old_majority < 0 or counts[code] > counts[old_majority] or (
+                counts[code] == counts[old_majority] and code < old_majority
             ):
-                group.majority = value
-            now_active = len(group.observations) >= 2 and len(group.counts) >= 2
-            needs_rescan = (now_active and not was_active) or (
+                group.majority = code
+            needs_rescan = (group.active() and not was_active) or (
                 was_active and group.majority != old_majority
             )
             touched[identifier] = touched.get(identifier, False) or needs_rescan
-            added.setdefault(identifier, []).append(value)
+            added.setdefault(identifier, []).append(code)
 
         for identifier, rescanned in touched.items():
             group = self._groups[identifier]
             if rescanned:
-                new_contrib = self._group_deviations(group)
+                self._apply_contrib(group, self._group_deviations(group), changed)
+                continue
+            # Majority stable: only this item's new observations can
+            # deviate; older contributions are untouched.
+            if not group.active():
+                continue
+            majority = group.values[group.majority]
+            fresh = sum(1 for code in added[identifier] if group.values[code] != majority)
+            old = group.contrib.get(item.index, 0)
+            if fresh == old:
+                continue
+            if fresh:
+                group.contrib[item.index] = fresh
             else:
-                # Majority stable: only this item's new observations can
-                # deviate; older contributions are untouched.
-                if len(group.observations) < 2 or len(group.counts) < 2:
-                    continue
-                fresh = sum(1 for value in added[identifier] if value != group.majority)
-                if fresh == group.contrib.get(item.index, 0):
-                    continue
-                new_contrib = dict(group.contrib)
-                if fresh:
-                    new_contrib[item.index] = fresh
-                else:
-                    new_contrib.pop(item.index, None)
-            self._apply_contrib(group, new_contrib, changed)
+                del group.contrib[item.index]
+            self._bump(item.index, fresh - old, changed)
         return changed
 
 
@@ -409,7 +498,7 @@ class TemporalConsistencyEvaluator(StreamingEvaluator):
             ],
             "present_prev": [to_jsonable(i) for i in self._present_prev],
             "next_pos": self._next_pos,
-            "item_sev": [[int(i), int(c)] for i, c in sorted(self._item_sev.items())],
+            "item_sev": _sparse_columns(self._item_sev, int),
             "segments": [[int(p), int(i)] for p, i in self._segments],
         }
 
@@ -422,7 +511,7 @@ class TemporalConsistencyEvaluator(StreamingEvaluator):
             self._states[from_jsonable(encoded_id)] = presence
         self._present_prev = {from_jsonable(i) for i in state["present_prev"]}
         self._next_pos = int(state["next_pos"])
-        self._item_sev = Counter({int(i): int(c) for i, c in state["item_sev"]})
+        self._item_sev = Counter(_sparse_from_columns(state["item_sev"], int))
         self._segments = [[int(p), int(i)] for p, i in state["segments"]]
 
     def _index_of(self, pos: int) -> int:
@@ -673,7 +762,7 @@ class StreamingEngine:
             "n_items": self._n_items,
             "recent": to_jsonable(list(self._recent)),
             "log": {
-                name: [[int(i), float(s)] for i, s in sorted(log.items())]
+                name: _sparse_columns(log, float)
                 for name, log in self._log.items()
                 if log and name in known
             },
@@ -691,8 +780,8 @@ class StreamingEngine:
         self._n_items = int(state["n_items"])
         self._recent.extend(from_jsonable(state["recent"]))
         self._log = {
-            name: {int(i): float(s) for i, s in pairs}
-            for name, pairs in state["log"].items()
+            name: _sparse_from_columns(columns, float)
+            for name, columns in state["log"].items()
         }
         saved = state["evaluators"]
         applied = set()

@@ -244,6 +244,87 @@ class TestDisableEnableAcrossSnapshot:
             assert evaluator.get_state()["segments"] == [[0, 0], [a, b]]
 
 
+#: The NaN every JSON decode returns: ``json.loads`` hands out one shared
+#: float object for every ``NaN`` literal, so it is what a unit decoded
+#: from the wire carries, and what a restored value dictionary holds.
+WIRE_NAN = json.loads("NaN")
+
+#: Attribute-value palettes for the value-dictionary edge cases, as
+#: factories so a palette can hand out a fresh object per draw.
+EDGE_PALETTES = {
+    # NaN != NaN even for one object, so a NaN majority deviates from
+    # itself; the group still counts it as one value.
+    "shared_nan": (lambda: WIRE_NAN, lambda: "red", lambda: "blue"),
+    # Distinct NaN objects are distinct dictionary values.
+    "distinct_nan": (lambda: float("nan"), lambda: "red", lambda: None),
+    # 1, 1.0 and True are one value; the first seen represents it.
+    "equal_numbers": (lambda: 1, lambda: 1.0, lambda: True, lambda: 2, lambda: None),
+    "none_and_tuples": (lambda: None, lambda: (1, "a"), lambda: ("b",), lambda: (), lambda: 0),
+}
+
+
+def edge_stream(palette: str, seed: int) -> list:
+    """A seeded stream over three identifiers drawing colours from
+    ``EDGE_PALETTES[palette]``, dense enough that majorities flip."""
+    draws = EDGE_PALETTES[palette]
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(12, 30))
+    outputs = [
+        [
+            {"id": int(rng.integers(0, 3)), "color": draws[int(rng.integers(0, len(draws)))]()}
+            for _ in range(int(rng.integers(0, 3)))
+        ]
+        for _ in range(n)
+    ]
+    return make_stream(outputs, timestamps=[0.7 * k for k in range(n)])
+
+
+def observe_all(omg: OMG, items) -> list:
+    """Observe ``items``; one list of fresh records per item."""
+    return [omg.observe(None, list(i.outputs), timestamp=i.timestamp) for i in items]
+
+
+class TestValueDictionaryEdgeCases:
+    """Values that dict equality and ``!=`` treat unusually keep online
+    == offline and restored == uninterrupted."""
+
+    @pytest.mark.parametrize("palette", sorted(EDGE_PALETTES))
+    @pytest.mark.parametrize("seed", range(6))
+    def test_online_matches_monitor(self, palette, seed):
+        items = edge_stream(palette, seed)
+        online = feed_observe(items).online_report()
+        np.testing.assert_array_equal(online.severities, offline_report(items).severities)
+
+    @pytest.mark.parametrize("palette", sorted(EDGE_PALETTES))
+    @pytest.mark.parametrize("seed", range(6))
+    def test_restore_at_every_cut_continues_bit_identically(self, palette, seed):
+        items = edge_stream(palette, seed)
+        uninterrupted = OMG(build_database(), window_size=4096)
+        expected = observe_all(uninterrupted, items)
+        for cut in range(len(items) + 1):
+            first = OMG(build_database(), window_size=4096)
+            observe_all(first, items[:cut])
+            resumed = OMG(build_database(), window_size=4096)
+            resumed.restore(json.loads(json.dumps(first.snapshot())))
+            assert observe_all(resumed, items[cut:]) == expected[cut:], cut
+            np.testing.assert_array_equal(
+                resumed.online_report().severities,
+                uninterrupted.online_report().severities,
+                err_msg=f"cut {cut}",
+            )
+
+    def test_group_state_is_a_value_dictionary_plus_coded_columns(self):
+        omg = OMG(build_database(), window_size=4096)
+        for pos, color in enumerate(["blue", "red", "red", "red", "blue", "blue"]):
+            omg.observe(None, [{"id": 7, "color": color}], timestamp=float(pos))
+        omg.observe(None, [{"id": 7, "color": "red"}] * 2, timestamp=6.0)
+        state = omg._streaming._evaluators["track:attr:color"].get_state()
+        # Indices 0..6 with item 6 twice, delta coded; codes run-length coded.
+        assert state == {
+            "groups": [[7, ["blue", "red"], [0, 1, 1, 1, 1, 1, 1, 0], [0, 1, 1, 3, 0, 2, 1, 2]]]
+        }
+
+
 class TestRetroactiveAttribution:
     def test_flicker_gap_is_attributed_to_gap_items(self):
         """A gap violation lands on the missing items once the id returns."""
@@ -284,6 +365,17 @@ class TestRetroactiveAttribution:
             )
         )
         np.testing.assert_array_equal(column, offline.column("track:attr:color"))
+
+    def test_item_severity_that_returns_to_zero_is_dropped(self):
+        """a, b, b, a, a: item 0 deviates, then not; its entry goes."""
+        omg = OMG(build_database(), window_size=4096)
+        for pos, color in enumerate(["a", "b", "b", "a", "a"]):
+            omg.observe(None, [{"id": 3, "color": color}], timestamp=float(pos))
+        evaluator = omg._streaming._evaluators["track:attr:color"]
+        assert evaluator._item_sev == {1: 1, 2: 1}
+        np.testing.assert_array_equal(
+            omg.online_report().column("track:attr:color"), [0.0, 1.0, 1.0, 0.0, 0.0]
+        )
 
 
 class TestEngineBehavior:

@@ -78,11 +78,11 @@ class TestOMGSnapshot:
 
     def test_format_1_payload_is_refused_by_name(self):
         # Format 1 carried a copy of every fire record and a per-item
-        # temporal index map; format 2 reads neither.
+        # temporal index map; later formats read neither.
         monitor = self.make_monitor()
         self.feed(monitor, raw_units(5, 12))
         payload = json_round_trip(monitor.snapshot())
-        assert payload["format"] == SNAPSHOT_FORMAT == 2
+        assert payload["format"] == SNAPSHOT_FORMAT == 3
         payload["format"] = 1
         payload["online_records"] = []
         with pytest.raises(SnapshotFormatError, match="format 1") as err:
@@ -94,6 +94,29 @@ class TestOMGSnapshot:
         old = json_round_trip(service.snapshot())
         old["sessions"][0][1]["monitor"]["format"] = 1
         with pytest.raises(SnapshotFormatError, match="format 1"):
+            MonitorService(SyntheticDomain()).restore(old)
+
+    def test_format_2_payload_is_refused_by_name(self):
+        # Format 2 wrote the severity log and temporal item severities as
+        # [index, value] pairs; format 3 reads index and value columns.
+        monitor = self.make_monitor()
+        self.feed(monitor, raw_units(5, 12))
+        payload = json_round_trip(monitor.snapshot())
+        streaming = payload["streaming"]
+        streaming["log"] = {
+            name: [[i, s] for i, s in monitor._streaming._log[name].items()]
+            for name in streaming["log"]
+        }
+        payload["format"] = 2
+        with pytest.raises(SnapshotFormatError, match="format 2") as err:
+            self.make_monitor().restore(payload)
+        assert (err.value.found, err.value.supported) == (2, SNAPSHOT_FORMAT)
+
+        service = MonitorService(SyntheticDomain())
+        service.ingest("s0", raw_units(5, 1)[0])
+        old = json_round_trip(service.snapshot())
+        old["sessions"][0][1]["monitor"]["format"] = 2
+        with pytest.raises(SnapshotFormatError, match="format 2"):
             MonitorService(SyntheticDomain()).restore(old)
 
     def test_pre_stream_snapshot_restores_empty_state(self):
