@@ -22,6 +22,13 @@ The public API mirrors the paper's library, OMG ("OMG Model Guardian"):
 Substrates used by the paper's evaluation (synthetic worlds, trainable
 detectors and classifiers, metrics) live in sibling subpackages.
 
+Public names resolve lazily, on first access (PEP 562): ``import repro``
+loads no subpackage, and ``from repro import OMG`` imports
+:mod:`repro.core` only then. So does each subpackage's own namespace
+(:mod:`repro.utils`, :mod:`repro.serve`, :mod:`repro.fleet`), which is
+how the fleet router (``python -m repro fleet``) routes without loading
+numpy or the monitor core.
+
 Reproducing the evaluation
 --------------------------
 Every table/figure is a registered experiment (frozen config dataclass +
@@ -90,20 +97,27 @@ bal|random|uniform [--snapshot PATH]``). See the README's "Improvement
 loop" section and ``examples/closed_loop_improvement.py``.
 """
 
-from repro.core import (
-    OMG,
-    BAL,
-    AssertionDatabase,
-    ConsistencySpec,
-    FunctionAssertion,
-    ModelAssertion,
-    MonitoringReport,
-    StreamItem,
-    harvest_weak_labels,
+from repro.utils.lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.core": (
+            "OMG",
+            "BAL",
+            "AssertionDatabase",
+            "ConsistencySpec",
+            "FunctionAssertion",
+            "ModelAssertion",
+            "MonitoringReport",
+            "StreamItem",
+            "harvest_weak_labels",
+        ),
+        "repro.domains.registry": ("Domain", "RetrainableModel", "get_domain"),
+        "repro.improve": ("ImproveConfig", "ImprovementLoop"),
+        "repro.serve": ("MonitorService", "ServiceConfig"),
+    },
 )
-from repro.domains.registry import Domain, RetrainableModel, get_domain
-from repro.improve import ImproveConfig, ImprovementLoop
-from repro.serve import MonitorService, ServiceConfig
 
 __version__ = "1.2.0"
 

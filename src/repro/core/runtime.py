@@ -49,6 +49,7 @@ from repro.core.database import AssertionDatabase
 from repro.core.streaming import StreamingEngine
 from repro.core.types import AssertionRecord, StreamItem, make_stream
 from repro.utils.codec import from_jsonable, register_result_type, to_jsonable
+from repro.utils.io import SnapshotFormatError
 
 #: Version tag of the :meth:`OMG.snapshot` payload layout. Format 2
 #: dropped the copy of every fire record (``online_records``) and
@@ -58,22 +59,6 @@ from repro.utils.codec import from_jsonable, register_result_type, to_jsonable
 #: codes, and the severity log and temporal item severities as index and
 #: value lists.
 SNAPSHOT_FORMAT = 3
-
-
-class SnapshotFormatError(ValueError):
-    """A snapshot payload with the wrong schema version or shape.
-
-    Raised at the restore boundary by every snapshot layer — monitor
-    (:meth:`OMG.restore`) and fleet (:mod:`repro.fleet.snapshot`) — so
-    an old payload fails loudly instead of as a ``KeyError`` deep inside
-    a restore. Carries ``found`` (the payload's version, or ``None``)
-    and ``supported``; the message names both.
-    """
-
-    def __init__(self, message: str, *, found=None, supported=None) -> None:
-        super().__init__(message)
-        self.found = found
-        self.supported = supported
 
 
 @register_result_type

@@ -36,10 +36,11 @@ from __future__ import annotations
 
 import abc
 import importlib
-from typing import Any, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Any, Iterator, NamedTuple
 
-from repro.core.runtime import OMG, MonitoringReport
-from repro.core.spec import AssertionSuite, compile_suite
+if TYPE_CHECKING:
+    from repro.core.runtime import OMG, MonitoringReport
+    from repro.core.spec import AssertionSuite
 
 
 class MonitorRun(NamedTuple):
@@ -174,6 +175,9 @@ class Domain(abc.ABC):
         Domains with assertions that cannot be expressed as specs may
         override this directly.
         """
+        from repro.core.runtime import OMG
+        from repro.core.spec import compile_suite
+
         return OMG(compile_suite(self.assertion_suite(config)))
 
     def build_pipeline(self, config: Any = None):

@@ -27,16 +27,23 @@ the README's "Sharded fleet" section for the architecture diagram and
 migration semantics.
 """
 
-from repro.fleet.manager import FleetManager, ShardSpec, shard_names
-from repro.fleet.ring import HashRing, RoutingTable, stable_hash
-from repro.fleet.router import FleetRouter, RouterConfig, ShardUnavailableError
-from repro.fleet.snapshot import (
-    FLEET_SNAPSHOT_FORMAT,
-    SnapshotFormatError,
-    fleet_snapshot_payload,
-    load_fleet_snapshot,
-    save_fleet_snapshot,
-    validate_fleet_payload,
+from repro.utils.lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.fleet.manager": ("FleetManager", "ShardSpec", "shard_names"),
+        "repro.fleet.ring": ("HashRing", "RoutingTable", "stable_hash"),
+        "repro.fleet.router": ("FleetRouter", "RouterConfig", "ShardUnavailableError"),
+        "repro.fleet.snapshot": (
+            "FLEET_SNAPSHOT_FORMAT",
+            "SnapshotFormatError",
+            "fleet_snapshot_payload",
+            "load_fleet_snapshot",
+            "save_fleet_snapshot",
+            "validate_fleet_payload",
+        ),
+    },
 )
 
 __all__ = [

@@ -163,7 +163,7 @@ class FleetManager:
                     f"shard {name!r} exited with status {proc.returncode} "
                     f"before becoming ready:\n{self._log_tail(name)}"
                 )
-            time.sleep(0.02)
+            time.sleep(0.002)
         raise RuntimeError(
             f"shard {name!r} did not become ready within "
             f"{self.ready_timeout:.0f}s:\n{self._log_tail(name)}"

@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import functools
 
-from repro.core.runtime import SnapshotFormatError
 from repro.fleet.ring import RoutingTable
-from repro.utils.io import atomic_write_json, read_json
+from repro.utils.io import SnapshotFormatError, atomic_write_json, read_json
 
 #: Schema version of the fleet snapshot payload. Bump on layout changes;
 #: readers reject other versions with a :class:`SnapshotFormatError`.

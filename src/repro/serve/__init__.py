@@ -17,37 +17,44 @@ drives, and the README's "Serving API" and "Network serving & load
 testing" sections for quickstarts.
 """
 
-from repro.serve.loadtest import (
-    LoadTestConfig,
-    LoadTestPoint,
-    LoadTestResult,
-    run_loadtest,
-    write_bench,
-)
-from repro.serve.net import (
-    ConnectionLostError,
-    MonitorServer,
-    ReconnectingClient,
-    ServerConfig,
-    ServerStats,
-    ServiceClient,
-    ServiceError,
-)
-from repro.serve.service import (
-    BatchIngestError,
-    BrokenSessionError,
-    FleetReport,
-    MonitorService,
-    PairOutcome,
-    ServiceConfig,
-    StreamFire,
-    StreamSession,
-    build_fleet_report,
-)
-from repro.serve.snapshot import (
-    load_service_snapshot,
-    load_snapshot_payload,
-    save_service_snapshot,
+from repro.utils.lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.serve.loadtest": (
+            "LoadTestConfig",
+            "LoadTestPoint",
+            "LoadTestResult",
+            "run_loadtest",
+            "write_bench",
+        ),
+        "repro.serve.net": (
+            "ConnectionLostError",
+            "MonitorServer",
+            "ReconnectingClient",
+            "ServerConfig",
+            "ServerStats",
+            "ServiceClient",
+            "ServiceError",
+        ),
+        "repro.serve.service": (
+            "BatchIngestError",
+            "BrokenSessionError",
+            "FleetReport",
+            "MonitorService",
+            "PairOutcome",
+            "ServiceConfig",
+            "StreamFire",
+            "StreamSession",
+            "build_fleet_report",
+        ),
+        "repro.serve.snapshot": (
+            "load_service_snapshot",
+            "load_snapshot_payload",
+            "save_service_snapshot",
+        ),
+    },
 )
 
 __all__ = [

@@ -83,16 +83,8 @@ from __future__ import annotations
 import asyncio
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from repro.core.runtime import MonitoringReport
-from repro.core.spec import AssertionSuite
-from repro.serve.service import (
-    BrokenSessionError,
-    FleetReport,
-    MonitorService,
-    PairOutcome,
-    build_fleet_report,
-)
 from repro.utils.codec import from_jsonable, to_jsonable
 from repro.utils.framing import (
     MAX_FRAME_BYTES,
@@ -101,6 +93,10 @@ from repro.utils.framing import (
     encode_frame,
     encode_frame_pieces,
 )
+
+if TYPE_CHECKING:
+    from repro.core.runtime import MonitoringReport
+    from repro.serve.service import FleetReport, MonitorService, PairOutcome
 
 #: Protocol version, echoed by ``ping``.
 PROTOCOL_VERSION = 2
@@ -674,6 +670,8 @@ class MonitorServer(_LineServer):
         }
 
     def _execute_control(self, op: str, request_id, request: dict, conn) -> None:
+        from repro.serve.service import BrokenSessionError
+
         # A failure after part of the answer was written has closed the
         # connection, so the error answers below are no-ops then.
         try:
@@ -749,6 +747,8 @@ class MonitorServer(_LineServer):
             restored = self.service.restore_session(stream_id, session)
             return {"stream_id": stream_id, "n_raw": restored.n_raw}
         if op == "apply_suite":
+            from repro.core.spec import AssertionSuite
+
             suite_payload = request.get("suite")
             if not isinstance(suite_payload, dict):
                 raise ValueError("apply_suite needs a suite payload")
@@ -801,6 +801,8 @@ def _error_doc(request_id, error_type: str, message: str, **extra) -> dict:
 
 def _outcome_error(outcome: PairOutcome) -> dict:
     """Typed wire error for one failed :class:`PairOutcome`."""
+    from repro.serve.service import BrokenSessionError
+
     exc = outcome.error
     if outcome.skipped or isinstance(exc, BrokenSessionError):
         error_type = "broken-session"
@@ -825,6 +827,15 @@ def _outcome_error(outcome: PairOutcome) -> dict:
 # ----------------------------------------------------------------------
 # Client
 # ----------------------------------------------------------------------
+def _from_wire(payload):
+    """:func:`from_jsonable` of a response field, with the codec types a
+    response carries (reports, fire records) registered first: a process
+    that only runs a client may not have imported them yet."""
+    import repro.serve.service  # noqa: F401  (registers the codec types)
+
+    return from_jsonable(payload)
+
+
 class ServiceError(Exception):
     """A typed error response from the server (``ok: false``)."""
 
@@ -942,7 +953,7 @@ class ServiceClient:
         result = await self.request(
             "ingest", stream_id=stream_id, raw=to_jsonable(raw)
         )
-        return [from_jsonable(record) for record in result["fires"]]
+        return _from_wire(result["fires"])
 
     async def ingest_batch(self, pairs: list) -> dict:
         """Feed many ``(stream_id, raw)`` pairs as one request.
@@ -961,19 +972,21 @@ class ServiceClient:
         result = envelope["result"]
         for entry in result["results"]:
             if entry.get("ok"):
-                entry["fires"] = [from_jsonable(r) for r in entry["fires"]]
+                entry["fires"] = _from_wire(entry["fires"])
         return result
 
     async def report(self, stream_id: str) -> MonitoringReport:
         result = await self.request("report", stream_id=stream_id)
-        return from_jsonable(result["report"])
+        return _from_wire(result["report"])
 
     async def fleet_report(self) -> FleetReport:
         """The per-stream reports, with the fleet aggregate stacked here
         the way :meth:`MonitorService.fleet_report` stacks it."""
+        from repro.serve.service import build_fleet_report
+
         result = await self.request("fleet_report")
         stream_reports = OrderedDict(
-            (sid, from_jsonable(report))
+            (sid, _from_wire(report))
             for sid, report in result["stream_reports"].items()
         )
         return build_fleet_report(
@@ -1129,11 +1142,11 @@ class ReconnectingClient:
         result = await self.request(
             "ingest", stream_id=stream_id, raw=to_jsonable(raw)
         )
-        return [from_jsonable(record) for record in result["fires"]]
+        return _from_wire(result["fires"])
 
     async def report(self, stream_id: str) -> MonitoringReport:
         result = await self.request("report", stream_id=stream_id)
-        return from_jsonable(result["report"])
+        return _from_wire(result["report"])
 
     async def stats(self) -> dict:
         return await self.request("stats")

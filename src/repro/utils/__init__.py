@@ -1,11 +1,18 @@
 """Shared utilities: seeding, validation, and small numeric helpers."""
 
-from repro.utils.rng import as_generator, spawn_generators
-from repro.utils.validation import (
-    check_finite,
-    check_fraction,
-    check_positive,
-    check_shape,
+from repro.utils.lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.utils.rng": ("as_generator", "spawn_generators"),
+        "repro.utils.validation": (
+            "check_finite",
+            "check_fraction",
+            "check_positive",
+            "check_shape",
+        ),
+    },
 )
 
 __all__ = [

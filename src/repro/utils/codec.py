@@ -11,7 +11,8 @@ Encoding rules (see :func:`to_jsonable`):
 - registered dataclasses → ``{"__dataclass__": name, "fields": {...}}``;
 - tuples → ``{"__tuple__": [...]}`` (decode back as tuples);
 - numpy arrays → ``{"__ndarray__": {"dtype", "data"}}``; numpy scalars
-  unwrap to Python scalars;
+  unwrap to Python scalars (this module imports numpy only to decode an
+  array, so a process without numpy values never loads it);
 - dict/list/str/int/float/bool/None pass through (dict keys must be str).
 
 Floats survive a ``json.dumps``/``loads`` round trip bit-exactly (JSON
@@ -22,8 +23,7 @@ artifacts and monitor snapshots reproducible to the bit.
 from __future__ import annotations
 
 import dataclasses
-
-import numpy as np
+import sys
 
 #: Registered dataclass types, by class name — the JSON codec's universe.
 _RESULT_TYPES: dict = {}
@@ -115,12 +115,15 @@ def _to_jsonable_generic(obj):
                 for f in dataclasses.fields(obj)
             },
         }
-    if isinstance(obj, np.ndarray):
-        return {
-            "__ndarray__": {"dtype": str(obj.dtype), "data": obj.tolist()},
-        }
-    if isinstance(obj, (np.integer, np.floating, np.bool_)):
-        return obj.item()
+    # No numpy value can exist unless numpy was imported.
+    np = sys.modules.get("numpy")
+    if np is not None:
+        if isinstance(obj, np.ndarray):
+            return {
+                "__ndarray__": {"dtype": str(obj.dtype), "data": obj.tolist()},
+            }
+        if isinstance(obj, (np.integer, np.floating, np.bool_)):
+            return obj.item()
     if isinstance(obj, tuple):
         return {"__tuple__": [to_jsonable(v) for v in obj]}
     if isinstance(obj, list):
@@ -148,6 +151,8 @@ def from_jsonable(obj):
             fields = {k: from_jsonable(v) for k, v in obj["fields"].items()}
             return cls(**fields)
         if "__ndarray__" in obj:
+            import numpy as np
+
             spec = obj["__ndarray__"]
             return np.asarray(spec["data"], dtype=np.dtype(spec["dtype"]))
         if "__tuple__" in obj:

@@ -1,9 +1,28 @@
-"""Small filesystem helpers shared by the snapshot layers."""
+"""Small filesystem helpers and the format error shared by the snapshot layers."""
 
 from __future__ import annotations
 
 import json
 import os
+
+
+class SnapshotFormatError(ValueError):
+    """A snapshot payload with the wrong schema version or shape.
+
+    Raised at the restore boundary by every snapshot layer — monitor
+    (:meth:`~repro.core.runtime.OMG.restore`) and fleet
+    (:mod:`repro.fleet.snapshot`) — so an old payload fails loudly
+    instead of as a ``KeyError`` deep inside a restore. Carries
+    ``found`` (the payload's version, or ``None``) and ``supported``;
+    the message names both. It lives here, with no numpy behind it, so
+    the fleet router can raise and catch it without loading the monitor
+    core; :mod:`repro.core.runtime` and :mod:`repro.fleet` re-export it.
+    """
+
+    def __init__(self, message: str, *, found=None, supported=None) -> None:
+        super().__init__(message)
+        self.found = found
+        self.supported = supported
 
 
 def atomic_write_json(payload: dict, path: str) -> None:

@@ -155,6 +155,13 @@ class TestFormatValidation:
             save_fleet_snapshot({"kind": "fleet"}, str(tmp_path / "x.json"))
         assert not (tmp_path / "x.json").exists()
 
+    def test_monitor_and_fleet_layers_raise_one_class(self):
+        # The router loads it without the monitor core; a caller catching
+        # either layer's error must still catch both.
+        import repro.core.runtime
+
+        assert repro.core.runtime.SnapshotFormatError is SnapshotFormatError
+
 
 class TestRestoreGuards:
     def test_router_rejects_wrong_domain_and_unknown_shards(self):
@@ -190,3 +197,22 @@ class TestRestoreGuards:
         assert format_err.type == "bad-request"
         assert format_err.error.get("found") == 99
         assert report.n_items > 0
+
+    def test_router_restore_refuses_a_format_2_monitor_by_name(self):
+        # A fleet payload is valid at the router's layer, but one of its
+        # monitors is format 2: the shard's restore names that format.
+        async def drive():
+            async with sharded() as (router, servers, connect):
+                client = await connect()
+                await client.ingest("s", raw_units(5, 1)[0])
+                payload = json.loads(json.dumps(await client.snapshot()))
+                shard = router.table.owner("s")
+                sessions = payload["shards"][shard]["sessions"]
+                sessions[0][1]["monitor"]["format"] = 2
+                with pytest.raises(ServiceError) as err:
+                    await client.restore(payload)
+                return err.value
+
+        err = asyncio.run(drive())
+        assert err.type == "bad-request"
+        assert "unsupported monitor snapshot format 2" in str(err)
