@@ -21,8 +21,8 @@ TV-news domain on an ephemeral localhost port:
    the rolling-restart story, now over TCP.
 
 The same server runs standalone via ``python -m repro serve tvnews``,
-and ``python -m repro loadtest`` drives it with closed/open-loop load
-(see the README's "Network serving & load testing").
+and ``servebench/run.py`` drives it with closed/open-loop load (see
+the README's "Network serving").
 
 Run:  python examples/network_serving.py
 """

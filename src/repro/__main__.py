@@ -17,10 +17,6 @@ Subcommands:
   (:class:`~repro.serve.MonitorServer`): newline-delimited JSON requests,
   batched ingestion, bounded-queue backpressure, optional checkpoint via
   ``--snapshot`` and a ``--ready-file`` announcing the bound port.
-- ``loadtest [DOMAIN]`` — closed/open-loop load harness against a
-  self-hosted server; sweeps ``--clients`` counts (and ``--shards``
-  fleet sizes) and writes latency percentiles + throughput to
-  ``BENCH_serve.json``.
 - ``fleet DOMAIN --shards N`` — run a sharded monitor fleet: worker
   shard processes behind a consistent-hash router speaking the same
   protocol as ``serve``, with live snapshot-based stream migration
@@ -45,9 +41,6 @@ Examples
    $ python -m repro stream tvnews --suite suite.json --items 3
    $ python -m repro serve tvnews --port 7781
    $ python -m repro serve tvnews --ready-file server.json --snapshot fleet.json
-   $ python -m repro loadtest tvnews --clients 1,4,8 --duration 3
-   $ python -m repro loadtest tvnews --mode open --rate 500 --out BENCH_serve.json
-   $ python -m repro loadtest tvnews --shards 1,2 --clients 4
    $ python -m repro fleet tvnews --shards 2 --ready-file fleet.json
    $ python -m repro fleet tvnews --shards 2 --snapshot fleet-snap.json
 """
@@ -666,28 +659,15 @@ def _cmd_serve(args) -> int:
     return 0
 
 
-def _parse_counts(text: str, flag: str) -> tuple:
-    """``"1,4,8"`` → ``(1, 4, 8)`` for the sweep axes."""
-    try:
-        counts = tuple(int(part) for part in text.split(",") if part.strip())
-    except ValueError:
-        raise SystemExit(
-            f"error: {flag} expects comma-separated integers, got {text!r}"
-        ) from None
-    if not counts:
-        raise SystemExit(f"error: {flag} needs at least one count")
-    return counts
-
-
 def _cmd_fleet(args) -> int:
     """Run a sharded monitor fleet: worker processes + routing front-end.
 
     Spawns ``--shards`` worker processes (one MonitorServer each), waits
     for readiness, and serves the whole fleet through one consistent-hash
     router endpoint speaking the identical protocol as ``serve`` — so
-    clients, the loadtest, and the migrate/rebalance ops all talk to one
-    address. With ``--snapshot`` an existing coordinated fleet snapshot
-    is restored on start and a fresh one written on shutdown.
+    clients and the migrate/rebalance ops all talk to one address. With
+    ``--snapshot`` an existing coordinated fleet snapshot is restored on
+    start and a fresh one written on shutdown.
     """
     import asyncio
     import os
@@ -790,50 +770,6 @@ def _cmd_fleet(args) -> int:
             f"Fleet snapshot written to {args.snapshot} "
             "(restart the same command to resume every shard)"
         )
-    return 0
-
-
-def _cmd_loadtest(args) -> int:
-    """Saturation sweep against a self-hosted server; writes BENCH_serve.json."""
-    from repro.serve import LoadTestConfig, run_loadtest, write_bench
-
-    _check_domain(args.domain)
-    try:
-        config = LoadTestConfig(
-            domain=args.domain,
-            client_counts=_parse_counts(args.clients, "--clients"),
-            shard_counts=_parse_counts(args.shards, "--shards"),
-            mode=args.mode,
-            duration=args.duration,
-            warmup=args.warmup,
-            items=args.items,
-            rate=args.rate,
-            seed=args.seed,
-            pool_units=args.pool_units,
-            max_batch=args.max_batch,
-            max_delay=args.max_delay,
-            max_pending=args.max_pending,
-        )
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}") from None
-
-    result = run_loadtest(config, echo=None if args.json else print)
-    payload = write_bench(result, args.out)
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        print()
-        print(result.format_table())
-        print(f"\nSweep written to {args.out}")
-    bad = [point.clients for point in result.points if not point.ledger_ok]
-    if bad:
-        # Should be impossible: the server accounts every offered unit.
-        print(
-            "error: accounting ledger violated (offered != accepted + rejected) "
-            f"at client count(s) {bad} — units were silently dropped",
-            file=sys.stderr,
-        )
-        return 1
     return 0
 
 
@@ -1086,44 +1022,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--ready-file", default=None, metavar="PATH",
                          help="write {host, port, domain, pid} JSON once listening")
     p_serve.set_defaults(fn=_cmd_serve)
-
-    p_load = sub.add_parser(
-        "loadtest",
-        help="closed/open-loop load harness with a client-count saturation sweep",
-    )
-    p_load.add_argument("domain", nargs="?", default="tvnews",
-                        help="registered domain to serve (default tvnews)")
-    p_load.add_argument("--clients", default="1,4", metavar="N,N,...",
-                        help="comma-separated client counts, one sweep point each")
-    p_load.add_argument("--shards", default="1", metavar="N,N,...",
-                        help="comma-separated fleet sizes; shards > 1 stands up "
-                             "worker processes behind the consistent-hash router")
-    p_load.add_argument("--mode", choices=["closed", "open"], default="closed",
-                        help="closed: one request in flight per client; "
-                             "open: fixed offered --rate, pipelined")
-    p_load.add_argument("--duration", type=float, default=2.0,
-                        help="measured seconds per sweep point")
-    p_load.add_argument("--warmup", type=float, default=0.5,
-                        help="seconds excluded from latency measurement")
-    p_load.add_argument("--items", type=int, default=None,
-                        help="closed loop: exactly N units per client "
-                             "instead of a timed window (CI smoke)")
-    p_load.add_argument("--rate", type=float, default=200.0,
-                        help="open loop: aggregate offered units/s")
-    p_load.add_argument("--seed", type=int, default=0,
-                        help="root seed for the pre-generated unit pools")
-    p_load.add_argument("--pool-units", type=int, default=32,
-                        help="pre-generated raw units per client (cycled)")
-    p_load.add_argument("--max-batch", type=int, default=32,
-                        help="server knob: units per service batch")
-    p_load.add_argument("--max-delay", type=float, default=0.002,
-                        help="server knob: batch coalescing window (s)")
-    p_load.add_argument("--max-pending", type=int, default=1024,
-                        help="server knob: admitted-unit bound (backpressure)")
-    p_load.add_argument("--out", default="BENCH_serve.json", metavar="PATH",
-                        help="where to write the sweep payload")
-    p_load.add_argument("--json", action="store_true", help="machine-readable output")
-    p_load.set_defaults(fn=_cmd_loadtest)
 
     p_fleet = sub.add_parser(
         "fleet",

@@ -14,7 +14,7 @@ fleet" (ROADMAP):
 - :class:`FleetRouter` — an asyncio front door speaking the same
   newline-delimited-JSON protocol as a single server
   (:mod:`repro.serve.net`), so :class:`~repro.serve.ServiceClient` and
-  ``repro loadtest`` drive a sharded fleet unchanged: per-stream
+  ``servebench`` drive a sharded fleet unchanged: per-stream
   forwarding with FIFO order, merged fleet reports and stats, typed
   ``shard-unavailable`` errors, and **live snapshot-based migration**
   (:meth:`FleetRouter.rebalance`) that moves a stream between shards

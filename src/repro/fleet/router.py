@@ -3,7 +3,7 @@
 :class:`FleetRouter` is an asyncio TCP server speaking exactly the
 NDJSON protocol of a single :class:`~repro.serve.MonitorServer`
 (:mod:`repro.serve.net`) — a :class:`~repro.serve.ServiceClient` or
-``repro loadtest`` pointed at a router cannot tell it from one big
+``servebench`` pointed at a router cannot tell it from one big
 server. Behind it, each stream lives on exactly one worker shard,
 chosen by the :class:`~repro.fleet.ring.RoutingTable`.
 
@@ -675,12 +675,28 @@ class FleetRouter(_LineServer):
         async with self._control_lock:
             await self._quiesce_all()
             try:
+                names = list(payload["shards"])
+                # Shards restore one by one, so keep each one's own state:
+                # if a shard refuses its payload, the shards restored
+                # before it are put back, and the unchanged table still
+                # routes every session the fleet holds.
+                snapshots = await asyncio.gather(
+                    *(self._links[name].request("snapshot") for name in names)
+                )
+                before = dict(zip(names, snapshots))
                 restored: dict = {}
-                for name, shard_payload in payload["shards"].items():
-                    result = await self._links[name].request(
-                        "restore", snapshot=shard_payload
-                    )
-                    restored[name] = result["streams"]
+                try:
+                    for name in names:
+                        result = await self._links[name].request(
+                            "restore", snapshot=payload["shards"][name]
+                        )
+                        restored[name] = result["streams"]
+                except (ServiceError, ShardUnavailableError):
+                    for name in restored:
+                        await self._links[name].request(
+                            "restore", snapshot=before[name]["snapshot"]
+                        )
+                    raise
                 self.table = RoutingTable.restore(payload["routing"])
                 self._routes.clear()
                 # Recreate routes in the recorded fleet-wide creation
@@ -786,10 +802,7 @@ class FleetRouter(_LineServer):
             except (ServiceError, ShardUnavailableError):
                 # Source kept its copy; undo the destination's so exactly
                 # one shard owns the stream, then surface the failure.
-                try:
-                    await dst_link.request("evict", stream_id=stream_id)
-                finally:
-                    pass
+                await dst_link.request("evict", stream_id=stream_id)
                 raise
             self.table.pin(stream_id, target)
             return {

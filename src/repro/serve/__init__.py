@@ -7,14 +7,12 @@
   front-end: newline-delimited JSON over TCP with request batching,
   per-stream ordering, bounded-queue backpressure, and typed error
   payloads (``python -m repro serve``);
-- :func:`run_loadtest` — closed/open-loop load harness with latency
-  percentiles and a saturation sweep (``python -m repro loadtest``);
 - :func:`save_service_snapshot` / :func:`load_service_snapshot` — JSON
   checkpoint files (what ``python -m repro stream --snapshot`` writes).
 
 See :mod:`repro.domains.registry` for the per-domain contract this layer
-drives, and the README's "Serving API" and "Network serving & load
-testing" sections for quickstarts.
+drives, and the README's "Serving API" and "Network serving" sections for
+quickstarts; ``servebench/`` measures the deployed server.
 """
 
 from repro.utils.lazy import lazy_exports
@@ -22,13 +20,6 @@ from repro.utils.lazy import lazy_exports
 __getattr__, __dir__ = lazy_exports(
     __name__,
     {
-        "repro.serve.loadtest": (
-            "LoadTestConfig",
-            "LoadTestPoint",
-            "LoadTestResult",
-            "run_loadtest",
-            "write_bench",
-        ),
         "repro.serve.net": (
             "ConnectionLostError",
             "MonitorServer",
@@ -62,9 +53,6 @@ __all__ = [
     "BrokenSessionError",
     "ConnectionLostError",
     "FleetReport",
-    "LoadTestConfig",
-    "LoadTestPoint",
-    "LoadTestResult",
     "MonitorServer",
     "MonitorService",
     "PairOutcome",
@@ -79,7 +67,5 @@ __all__ = [
     "build_fleet_report",
     "load_service_snapshot",
     "load_snapshot_payload",
-    "run_loadtest",
     "save_service_snapshot",
-    "write_bench",
 ]

@@ -74,8 +74,8 @@ three exist for the sharded fleet (:mod:`repro.fleet`): per-stream
 snapshot/restore are the two halves of a live migration, and
 ``apply_suite`` lets the router reconfigure every shard in lockstep.
 Any request may carry ``"domain"``; a mismatch with the served domain is
-an ``unknown-domain`` error. See the README's "Network serving & load
-testing" section for the full payload reference.
+an ``unknown-domain`` error. See the README's "Network serving" section
+for the full payload reference.
 """
 
 from __future__ import annotations

@@ -10,9 +10,11 @@ Encoding rules (see :func:`to_jsonable`):
 
 - registered dataclasses → ``{"__dataclass__": name, "fields": {...}}``;
 - tuples → ``{"__tuple__": [...]}`` (decode back as tuples);
-- numpy arrays → ``{"__ndarray__": {"dtype", "data"}}``; numpy scalars
-  unwrap to Python scalars (this module imports numpy only to decode an
-  array, so a process without numpy values never loads it);
+- numpy arrays → ``{"__ndarray__": {"dtype", "data"}}``, plus
+  ``"shape"`` for an empty array of more than one dimension (whose
+  ``tolist()`` cannot imply it); numpy scalars unwrap to Python scalars
+  (this module imports numpy only to decode an array, so a process
+  without numpy values never loads it);
 - dict/list/str/int/float/bool/None pass through (dict keys must be str).
 
 Floats survive a ``json.dumps``/``loads`` round trip bit-exactly (JSON
@@ -119,9 +121,12 @@ def _to_jsonable_generic(obj):
     np = sys.modules.get("numpy")
     if np is not None:
         if isinstance(obj, np.ndarray):
-            return {
-                "__ndarray__": {"dtype": str(obj.dtype), "data": obj.tolist()},
-            }
+            spec = {"dtype": str(obj.dtype), "data": obj.tolist()}
+            if not obj.size and obj.ndim > 1:
+                # ``tolist()`` of an empty array drops every dimension
+                # after the first zero; carry the shape to get them back.
+                spec["shape"] = list(obj.shape)
+            return {"__ndarray__": spec}
         if isinstance(obj, (np.integer, np.floating, np.bool_)):
             return obj.item()
     if isinstance(obj, tuple):
@@ -154,7 +159,10 @@ def from_jsonable(obj):
             import numpy as np
 
             spec = obj["__ndarray__"]
-            return np.asarray(spec["data"], dtype=np.dtype(spec["dtype"]))
+            array = np.asarray(spec["data"], dtype=np.dtype(spec["dtype"]))
+            if "shape" in spec:
+                return array.reshape(spec["shape"])
+            return array
         if "__tuple__" in obj:
             return tuple(from_jsonable(v) for v in obj["__tuple__"])
         return {k: from_jsonable(v) for k, v in obj.items()}

@@ -216,3 +216,41 @@ class TestRestoreGuards:
         err = asyncio.run(drive())
         assert err.type == "bad-request"
         assert "unsupported monitor snapshot format 2" in str(err)
+
+    @pytest.mark.parametrize("refusing", ["shard-0", "shard-1"])
+    def test_refused_restore_leaves_every_held_session_routed(self, refusing):
+        # Shards restore one by one. When shard-1 refuses its payload,
+        # shard-0 has already restored its own; when shard-0 refuses,
+        # nothing was restored yet. Either way the fleet must end up
+        # with every session a shard holds routed to that shard, and
+        # here (nothing else changed) exactly as before the restore.
+        async def drive():
+            async with sharded() as (router, servers, connect):
+                client = await connect()
+                for k, sid in enumerate(STREAMS):
+                    for raw in raw_units(40 + k, 3):
+                        await client.ingest(sid, raw)
+                payload = json.loads(json.dumps(await client.snapshot()))
+                assert all(payload["shards"][n]["sessions"] for n in servers)
+                payload["shards"][refusing]["sessions"][0][1]["monitor"]["format"] = 2
+                for sid in STREAMS:
+                    await client.evict(sid)
+                for raw in raw_units(60, 3):
+                    await client.ingest("late", raw)
+                before = await client.fleet_report()
+                with pytest.raises(ServiceError) as err:
+                    await client.restore(payload)
+                owners = (await client.stats())["routing"]["owners"]
+                held = {
+                    name: server.service.stream_ids()
+                    for name, server in servers.items()
+                }
+                return err.value, owners, held, before, await client.fleet_report()
+
+        err, owners, held, before, after = asyncio.run(drive())
+        assert err.type == "bad-request"
+        for name, stream_ids in held.items():
+            for sid in stream_ids:
+                assert owners.get(sid) == name, (sid, name, owners)
+        assert list(after.stream_reports) == list(before.stream_reports) == ["late"]
+        assert_reports_equal(after.aggregate, before.aggregate)

@@ -212,6 +212,54 @@ class TestMigrationFailureModes:
         move = asyncio.run(drive())
         assert move["moved"] is False
 
+    def test_refused_source_evict_undoes_the_copy_and_surfaces_the_error(self):
+        # The destination has restored the session when the source
+        # refuses to evict its own: the router evicts the destination's
+        # copy, so exactly one shard owns the stream, and answers with
+        # the source's error.
+        units = {"s": raw_units(15, T + 1)}
+
+        async def drive():
+            async with sharded() as (router, servers, connect):
+                client = await connect()
+                for i in range(T):
+                    await client.ingest("s", units["s"][i])
+                source = router.table.owner("s")
+                target = next(n for n in servers if n != source)
+                link = router._links[source]
+                request = link.request
+
+                async def refuse_evict(op, **fields):
+                    if op == "evict":
+                        raise ServiceError(
+                            {"type": "internal", "message": "evict refused"}
+                        )
+                    return await request(op, **fields)
+
+                link.request = refuse_evict
+                with pytest.raises(ServiceError) as err:
+                    await client.request("migrate", stream_id="s", to=target)
+                link.request = request
+                placement = {
+                    name: server.service.stream_ids()
+                    for name, server in servers.items()
+                }
+                pins = dict(router.table.pins)
+                await client.ingest("s", units["s"][T])
+                report = await client.report("s")
+                return err.value, source, target, placement, pins, report
+
+        error, source, target, placement, pins, report = asyncio.run(drive())
+        assert error.type == "internal"
+        assert "evict refused" in str(error)
+        assert placement == {source: ["s"], target: []}
+        assert pins == {}
+
+        direct = MonitorService(SyntheticDomain())
+        for raw in units["s"]:
+            direct.ingest("s", raw)
+        assert_reports_equal(report, direct.report("s"))
+
 
 class TestMigrationAcrossReconfiguration:
     def test_migration_straddling_an_apply_suite_boundary(self):

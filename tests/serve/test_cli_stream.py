@@ -1,6 +1,7 @@
 """Subprocess smoke tests for ``python -m repro stream`` (the CI fast
 tier runs this file's happy path)."""
 
+import importlib
 import json
 
 import pytest
@@ -9,10 +10,24 @@ from repro.__main__ import main
 from tests.experiments.test_cli import run_cli
 
 
-@pytest.mark.parametrize("command", ["stream", "serve", "fleet", "loadtest", "improve"])
+@pytest.mark.parametrize("command", ["stream", "serve", "fleet", "improve"])
 def test_unknown_domain_fails_cleanly(command):
     with pytest.raises(SystemExit, match="unknown domain 'nope'; registered domains"):
         main([command, "nope"])
+
+
+def test_loadtest_is_not_a_command(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["loadtest", "tvnews"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'loadtest'" in capsys.readouterr().err
+
+
+def test_the_load_harness_is_gone_from_the_package():
+    with pytest.raises(ImportError):
+        from repro.serve import run_loadtest  # noqa: F401
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.serve.loadtest")
 
 
 class TestStreamCommand:

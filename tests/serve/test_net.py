@@ -187,6 +187,37 @@ class TestWireBitIdentity:
         for sid in units:
             assert_reports_equal(wire_reports[sid], solo.report(sid))
 
+    def test_zero_item_report_keeps_its_shape_over_the_wire(self):
+        """A stream whose units produced no item reports a ``(0, k)``
+        severity matrix. It must decode as ``(0, k)``, so its columns
+        read and the client stacks it beside a non-empty stream."""
+
+        class QuietDomain(SyntheticDomain):
+            def item_from_raw(self, raw, state=None):
+                if raw == "quiet":
+                    return []
+                return super().item_from_raw(raw, state)
+
+        busy = raw_units(90, 3)
+
+        async def over_the_wire():
+            service = MonitorService(QuietDomain())
+            async with serving(service) as (server, connect):
+                client = await connect()
+                await client.ingest("quiet", "quiet")
+                for raw in busy:
+                    await client.ingest("busy", raw)
+                quiet = await client.report("quiet")
+                return quiet, await client.fleet_report(), service.fleet_report()
+
+        quiet, fleet, direct = asyncio.run(over_the_wire())
+        names = quiet.assertion_names
+        assert quiet.severities.shape == (0, len(names))
+        assert quiet.column(names[0]).shape == (0,)
+        assert fleet.row_offsets == direct.row_offsets == {"quiet": 0, "busy": 0}
+        assert fleet.aggregate.severities.shape == (len(busy), len(names))
+        assert_reports_equal(fleet.aggregate, direct.aggregate)
+
 
 class TestOrdering:
     def test_per_stream_fifo_across_pipelined_clients_and_batches(self):

@@ -1,5 +1,7 @@
 """Tests for repro.utils: seeding and validation."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -98,6 +100,25 @@ class TestCodecRegistry:
 
         with pytest.raises(ValueError, match="StreamItem"):
             register_result_type(StreamItem)
+
+
+class TestCodecArrays:
+    @pytest.mark.parametrize("shape", [(0,), (0, 3), (3, 0), (0, 0), (2, 0, 4)])
+    def test_empty_array_round_trips_with_its_shape(self, shape):
+        from repro.utils.codec import from_jsonable, to_jsonable
+
+        for dtype in (np.float64, np.int64, bool):
+            array = np.zeros(shape, dtype=dtype)
+            back = from_jsonable(json.loads(json.dumps(to_jsonable(array))))
+            assert back.shape == shape and back.dtype == array.dtype
+
+    def test_shape_is_written_only_when_tolist_cannot_imply_it(self):
+        from repro.utils.codec import to_jsonable
+
+        for array in (np.zeros(0), np.array(1.5), np.zeros((2, 3)), np.ones((1, 1, 1))):
+            assert "shape" not in to_jsonable(array)["__ndarray__"], array.shape
+        for array in (np.zeros((0, 3)), np.zeros((3, 0)), np.zeros((2, 0, 4))):
+            assert to_jsonable(array)["__ndarray__"]["shape"] == list(array.shape)
 
 
 class TestAtomicWriteJson:
