@@ -55,16 +55,13 @@ compose one :func:`~repro.fleet.snapshot.fleet_snapshot_payload`.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import functools
 from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.fleet.ring import HashRing, RoutingTable
-from repro.fleet.snapshot import (
-    SnapshotFormatError,
-    fleet_snapshot_payload,
-    validate_fleet_payload,
-)
+from repro.fleet.snapshot import fleet_snapshot_payload, validate_fleet_payload
 from repro.serve.net import (
     _BAD_INGEST,
     ServiceClient,
@@ -75,6 +72,11 @@ from repro.serve.net import (
     _LineServer,
 )
 from repro.utils.framing import MAX_FRAME_BYTES, FrameError
+
+_LEDGER_COUNTERS = (
+    "offered", "accepted", "rejected", "rejected_overload", "rejected_bad",
+    "completed", "failed", "batches", "pending",
+)
 
 
 @dataclass(frozen=True)
@@ -105,19 +107,23 @@ class RouterConfig:
 class ShardUnavailableError(ConnectionError):
     """A shard that cannot currently take requests (dead or mid-crash)."""
 
+    wire_type = "shard-unavailable"
+
     def __init__(self, shard: str, cause) -> None:
         super().__init__(f"shard {shard!r} is unavailable: {cause}")
         self.shard = shard
         self.cause = cause
+        self.wire_fields = {"shard": shard}
 
 
-class _RouterOpError(Exception):
-    """An op-level failure the router answers with a typed error doc."""
+class _WrongDomain(ValueError):
+    """A fleet snapshot taken for another domain than the router serves."""
 
-    def __init__(self, error_type: str, message: str, **extra) -> None:
+    wire_type = "unknown-domain"
+
+    def __init__(self, message: str, served: str) -> None:
         super().__init__(message)
-        self.error_type = error_type
-        self.extra = extra
+        self.wire_fields = {"domain": served}
 
 
 class _ShardLink:
@@ -347,59 +353,26 @@ class FleetRouter(_LineServer):
     def _pong(self) -> dict:
         return {**super()._pong(), "role": "router", "shards": list(self._links)}
 
-    def _handle_request(self, op: str, request_id, request: dict, conn) -> None:
-        if op in ("ingest", "ingest_batch"):
-            # Submission MUST stay synchronous here: forwarding order to
-            # the shard links is what defines per-stream FIFO.
-            self._handle_ingest(op, request_id, request, conn)
-            return
-        handler = {
-            "report": self._op_report,
-            "evict": self._op_evict,
-            "stats": self._op_stats,
-            "fleet_report": self._op_fleet_report,
-            "snapshot": self._op_snapshot,
-            "restore": self._op_restore,
-            "migrate": self._op_migrate,
-            "rebalance": self._op_rebalance,
-            "apply_suite": self._op_apply_suite,
-            "ring": self._op_ring,
-        }.get(op)
-        if handler is None:
-            conn.send(_error_doc(request_id, "bad-request", f"unknown op {op!r}"))
-            return
-        task = asyncio.create_task(
-            self._run_op(handler, op, request_id, request, conn)
-        )
+    def _control(self, op: str, handler, request_id, request: dict, conn) -> None:
+        # Control ops await the shards, so each runs as a task; it is
+        # answered once it finishes.
+        task = asyncio.create_task(handler(request))
         self._tasks.add(task)
-        task.add_done_callback(self._tasks.discard)
+        task.add_done_callback(
+            functools.partial(self._finish, op, request_id, conn)
+        )
 
-    async def _run_op(self, handler, op: str, request_id, request: dict, conn) -> None:
-        # A failure after part of the answer was written has closed the
-        # connection, so the error answers below are no-ops then.
-        try:
-            self._answer(conn, request_id, op, await handler(request))
-        except _RouterOpError as exc:
-            conn.send(
-                _error_doc(request_id, exc.error_type, str(exc), **exc.extra)
-            )
-        except ShardUnavailableError as exc:
-            conn.send(
-                _error_doc(request_id, "shard-unavailable", str(exc), shard=exc.shard)
-            )
-        except ServiceError as exc:
-            conn.send({"id": request_id, "ok": False, "error": exc.error})
-        except Exception as exc:
-            conn.send(
-                _error_doc(
-                    request_id, "internal", f"{type(exc).__name__}: {exc}"
-                )
-            )
+    def _finish(self, op: str, request_id, conn, task: "asyncio.Task") -> None:
+        self._tasks.discard(task)
+        if not task.cancelled():  # stop() cancelled it: no one to answer
+            self._answer(conn, request_id, op, task.result)
 
     # ------------------------------------------------------------------
-    # Ingest forwarding
+    # Ingest forwarding: stays synchronous in the callback that read the
+    # line, since the forwarding order to the shard links is what
+    # defines per-stream FIFO
     # ------------------------------------------------------------------
-    def _handle_ingest(
+    def _op_ingest(
         self, op: str, request_id, request: dict, conn: _Connection
     ) -> None:
         raw_pairs = _ingest_pairs(op, request)
@@ -446,6 +419,8 @@ class FleetRouter(_LineServer):
             answer()
         for index, (sid, raw) in enumerate(raw_pairs):
             self._submit_pair(sid, raw, functools.partial(on_pair_doc, index))
+
+    _op_ingest_batch = _op_ingest
 
     def _route(self, stream_id: str) -> _StreamRoute:
         route = self._routes.get(stream_id)
@@ -518,16 +493,20 @@ class FleetRouter(_LineServer):
         while route.pending:
             await asyncio.gather(*list(route.pending), return_exceptions=True)
 
-    async def _quiesce_all(self) -> None:
-        self._gated = True
-        pending = [
-            fut for route in self._routes.values() for fut in route.pending
-        ]
-        while pending:
-            await asyncio.gather(*pending, return_exceptions=True)
-            pending = [
-                fut for route in self._routes.values() for fut in route.pending
-            ]
+    @contextlib.asynccontextmanager
+    async def _quiesced(self):
+        """Hold the control lock with every admission gated and every
+        in-flight unit answered; release the gate on the way out."""
+        async with self._control_lock:
+            self._gated = True
+            try:
+                while pending := [
+                    fut for route in self._routes.values() for fut in route.pending
+                ]:
+                    await asyncio.gather(*pending, return_exceptions=True)
+                yield
+            finally:
+                self._release_gate()
 
     def _release_gate(self) -> None:
         self._gated = False
@@ -542,17 +521,22 @@ class FleetRouter(_LineServer):
     # ------------------------------------------------------------------
     # Control ops
     # ------------------------------------------------------------------
+    async def _ask_shards(self, op: str, names=None) -> dict:
+        """``{shard: result}`` of ``op`` sent to every shard (or to
+        ``names``) at once."""
+        names = list(self._links) if names is None else names
+        results = await asyncio.gather(
+            *(self._links[name].request(op) for name in names)
+        )
+        return dict(zip(names, results))
+
     async def _op_report(self, request: dict) -> dict:
-        stream_id = request.get("stream_id")
-        if not isinstance(stream_id, str):
-            raise _RouterOpError("bad-request", "report needs a stream_id")
+        stream_id = request["stream_id"]
         link = self._links[self.table.owner(stream_id)]
         return await link.request("report", stream_id=stream_id)
 
     async def _op_evict(self, request: dict) -> dict:
-        stream_id = request.get("stream_id")
-        if not isinstance(stream_id, str):
-            raise _RouterOpError("bad-request", "evict needs a stream_id")
+        stream_id = request["stream_id"]
         link = self._links[self.table.owner(stream_id)]
         result = await link.request("evict", stream_id=stream_id)
         self._routes.pop(stream_id, None)
@@ -560,30 +544,12 @@ class FleetRouter(_LineServer):
         return result
 
     async def _op_stats(self, request: dict) -> dict:
-        names = list(self._links)
-        results = await asyncio.gather(
-            *(self._links[name].request("stats") for name in names)
-        )
-        totals = {
-            key: 0
-            for key in (
-                "offered",
-                "accepted",
-                "rejected",
-                "rejected_overload",
-                "rejected_bad",
-                "completed",
-                "failed",
-                "batches",
-                "pending",
-            )
-        }
+        shards = await self._ask_shards("stats")
+        totals = dict.fromkeys(_LEDGER_COUNTERS, 0)
         per_stream: dict = {}
         sessions: dict = {}
-        shards: dict = {}
-        for name, result in zip(names, results):
-            shards[name] = result
-            for key in totals:
+        for result in shards.values():
+            for key in _LEDGER_COUNTERS:
                 totals[key] += result.get(key, 0)
             for stream_id, entry in result.get("per_stream", {}).items():
                 merged = per_stream.setdefault(
@@ -604,10 +570,7 @@ class FleetRouter(_LineServer):
         return totals
 
     async def _op_fleet_report(self, request: dict) -> dict:
-        names = list(self._links)
-        results = await asyncio.gather(
-            *(self._links[name].request("fleet_report") for name in names)
-        )
+        results = list((await self._ask_shards("fleet_report")).values())
         # The reports stay the decoded JSON the shards sent: re-emitting
         # them needs no codec round trip.
         collected: dict = {}
@@ -630,89 +593,61 @@ class FleetRouter(_LineServer):
         }
 
     async def _op_snapshot(self, request: dict) -> dict:
-        async with self._control_lock:
-            await self._quiesce_all()
-            try:
-                names = list(self._links)
-                results = await asyncio.gather(
-                    *(self._links[name].request("snapshot") for name in names)
-                )
-                payload = fleet_snapshot_payload(
-                    self.domain,
-                    self.table,
-                    {
-                        name: result["snapshot"]
-                        for name, result in zip(names, results)
-                    },
-                    stream_order=list(self._routes),
-                )
-            finally:
-                self._release_gate()
+        async with self._quiesced():
+            results = await self._ask_shards("snapshot")
+            payload = fleet_snapshot_payload(
+                self.domain,
+                self.table,
+                {name: result["snapshot"] for name, result in results.items()},
+                stream_order=list(self._routes),
+            )
         return {"snapshot": payload}
 
     async def _op_restore(self, request: dict) -> dict:
-        payload = request.get("snapshot")
-        try:
-            validate_fleet_payload(payload)
-        except SnapshotFormatError as exc:
-            raise _RouterOpError(
-                "bad-request", str(exc), found=exc.found, supported=exc.supported
-            ) from None
+        payload = validate_fleet_payload(request["snapshot"])
         if payload["domain"] != self.domain:
-            raise _RouterOpError(
-                "unknown-domain",
+            raise _WrongDomain(
                 f"fleet snapshot is for domain {payload['domain']!r}, "
                 f"this router serves {self.domain!r}",
-                domain=self.domain,
+                self.domain,
             )
         unknown = sorted(set(payload["shards"]) - set(self._links))
         if unknown:
-            raise _RouterOpError(
-                "bad-request",
+            raise ValueError(
                 f"fleet snapshot names shard(s) this fleet does not run: "
                 f"{', '.join(unknown)} (running: {', '.join(self._links)})",
             )
-        async with self._control_lock:
-            await self._quiesce_all()
+        async with self._quiesced():
+            # Shards restore one by one, so keep each one's own state: if
+            # a shard refuses its payload, the shards restored before it
+            # are put back, and the unchanged table still routes every
+            # session the fleet holds.
+            before = await self._ask_shards("snapshot", list(payload["shards"]))
+            restored: dict = {}
             try:
-                names = list(payload["shards"])
-                # Shards restore one by one, so keep each one's own state:
-                # if a shard refuses its payload, the shards restored
-                # before it are put back, and the unchanged table still
-                # routes every session the fleet holds.
-                snapshots = await asyncio.gather(
-                    *(self._links[name].request("snapshot") for name in names)
-                )
-                before = dict(zip(names, snapshots))
-                restored: dict = {}
-                try:
-                    for name in names:
-                        result = await self._links[name].request(
-                            "restore", snapshot=payload["shards"][name]
-                        )
-                        restored[name] = result["streams"]
-                except (ServiceError, ShardUnavailableError):
-                    for name in restored:
-                        await self._links[name].request(
-                            "restore", snapshot=before[name]["snapshot"]
-                        )
-                    raise
-                self.table = RoutingTable.restore(payload["routing"])
-                self._routes.clear()
-                # Recreate routes in the recorded fleet-wide creation
-                # order (fleet_report row order), then any stream the
-                # payload's order list doesn't mention, sorted.
-                live = {
-                    sid for streams in restored.values() for sid in streams
-                }
-                for stream_id in payload.get("streams", []):
-                    if stream_id in live:
-                        self._route(stream_id)
-                        live.discard(stream_id)
-                for stream_id in sorted(live):
+                for name in before:
+                    result = await self._links[name].request(
+                        "restore", snapshot=payload["shards"][name]
+                    )
+                    restored[name] = result["streams"]
+            except (ServiceError, ShardUnavailableError):
+                for name in restored:
+                    await self._links[name].request(
+                        "restore", snapshot=before[name]["snapshot"]
+                    )
+                raise
+            self.table = RoutingTable.restore(payload["routing"])
+            self._routes.clear()
+            # Recreate routes in the recorded fleet-wide creation order
+            # (fleet_report row order), then any stream the payload's
+            # order list doesn't mention, sorted.
+            live = {sid for streams in restored.values() for sid in streams}
+            for stream_id in payload.get("streams", []):
+                if stream_id in live:
                     self._route(stream_id)
-            finally:
-                self._release_gate()
+                    live.discard(stream_id)
+            for stream_id in sorted(live):
+                self._route(stream_id)
         return {
             # "streams" keeps ServiceClient.restore() working against a
             # router exactly as against a single server.
@@ -723,28 +658,15 @@ class FleetRouter(_LineServer):
         }
 
     async def _op_migrate(self, request: dict) -> dict:
-        stream_id = request.get("stream_id")
-        target = request.get("to")
-        if not isinstance(stream_id, str) or not isinstance(target, str):
-            raise _RouterOpError("bad-request", "migrate needs stream_id + to")
-        tick = request.get("tick")
-        if tick is not None and not isinstance(tick, int):
-            raise _RouterOpError("bad-request", "migrate tick must be an integer")
         async with self._control_lock:
-            return await self._migrate(stream_id, target, tick)
+            return await self._migrate(
+                request["stream_id"], request["to"], request.get("tick")
+            )
 
     async def _op_rebalance(self, request: dict) -> dict:
-        plan = request.get("plan")
-        if not isinstance(plan, dict) or not all(
-            isinstance(sid, str) and isinstance(shard, str)
-            for sid, shard in plan.items()
-        ):
-            raise _RouterOpError(
-                "bad-request", "rebalance needs plan={stream_id: shard, ...}"
-            )
-        tick = request.get("tick")
-        if tick is not None and not isinstance(tick, int):
-            raise _RouterOpError("bad-request", "rebalance tick must be an integer")
+        plan, tick = request["plan"], request.get("tick")
+        if not all(isinstance(shard, str) for shard in plan.values()):
+            raise ValueError("rebalance needs plan={stream_id: shard, ...}")
         async with self._control_lock:
             moves = {}
             for stream_id, target in plan.items():
@@ -754,19 +676,14 @@ class FleetRouter(_LineServer):
     async def _migrate(self, stream_id: str, target: str, tick) -> dict:
         """One live migration (caller holds the control lock)."""
         if target not in self._links:
-            raise _RouterOpError(
-                "bad-request",
+            raise ValueError(
                 f"unknown target shard {target!r} "
                 f"(running: {', '.join(self._links)})",
             )
         source = self.table.owner(stream_id)
+        move = {"stream_id": stream_id, "from": source, "to": target, "moved": False}
         if source == target:
-            return {
-                "stream_id": stream_id,
-                "from": source,
-                "to": target,
-                "moved": False,
-            }
+            return move
         route = self._route(stream_id)
         route.frozen = True
         try:
@@ -780,16 +697,10 @@ class FleetRouter(_LineServer):
                 if exc.type == "unknown-stream":
                     # No session on the source — the move is pure routing.
                     self.table.pin(stream_id, target)
-                    return {
-                        "stream_id": stream_id,
-                        "from": source,
-                        "to": target,
-                        "moved": False,
-                    }
+                    return move
                 raise
             if tick is not None and snap["n_raw"] != tick:
-                raise _RouterOpError(
-                    "bad-request",
+                raise ValueError(
                     f"migration tick {tick} is not a raw-unit boundary for "
                     f"stream {stream_id!r}, which has consumed "
                     f"{snap['n_raw']} unit(s)",
@@ -805,13 +716,7 @@ class FleetRouter(_LineServer):
                 await dst_link.request("evict", stream_id=stream_id)
                 raise
             self.table.pin(stream_id, target)
-            return {
-                "stream_id": stream_id,
-                "from": source,
-                "to": target,
-                "moved": True,
-                "n_raw": snap["n_raw"],
-            }
+            return {**move, "moved": True, "n_raw": snap["n_raw"]}
         finally:
             # Whatever happened, release the stream toward whichever
             # shard the table now names — buffered units first, in order.
@@ -819,41 +724,27 @@ class FleetRouter(_LineServer):
             route.frozen = False
 
     async def _op_apply_suite(self, request: dict) -> dict:
-        suite_payload = request.get("suite")
-        if not isinstance(suite_payload, dict):
-            raise _RouterOpError("bad-request", "apply_suite needs a suite payload")
         tick = request.get("tick")
-        if tick is not None and not isinstance(tick, int):
-            raise _RouterOpError("bad-request", "apply_suite tick must be an integer")
-        async with self._control_lock:
-            await self._quiesce_all()
-            try:
-                names = list(self._links)
-                if tick is not None:
-                    # Validate the boundary across the WHOLE fleet before
-                    # touching any shard — a per-shard failure halfway
-                    # through would leave the fleet split across suites.
-                    stats = await asyncio.gather(
-                        *(self._links[name].request("stats") for name in names)
-                    )
-                    for name, result in zip(names, stats):
-                        for stream_id, n_raw in result.get("sessions", {}).items():
-                            if n_raw != tick:
-                                raise _RouterOpError(
-                                    "bad-request",
-                                    f"apply_suite(tick={tick}) is not a "
-                                    f"raw-unit boundary for stream "
-                                    f"{stream_id!r} on shard {name!r}, which "
-                                    f"has consumed {n_raw} unit(s)",
-                                )
-                streams: dict = {}
-                for name in names:
-                    result = await self._links[name].request(
-                        "apply_suite", suite=suite_payload, tick=tick
-                    )
-                    streams.update(result["streams"])
-            finally:
-                self._release_gate()
+        async with self._quiesced():
+            if tick is not None:
+                # Validate the boundary across the WHOLE fleet before
+                # touching any shard — a per-shard failure halfway
+                # through would leave the fleet split across suites.
+                stats = await self._ask_shards("stats")
+                for name, result in stats.items():
+                    for stream_id, n_raw in result.get("sessions", {}).items():
+                        if n_raw != tick:
+                            raise ValueError(
+                                f"apply_suite(tick={tick}) is not a raw-unit "
+                                f"boundary for stream {stream_id!r} on shard "
+                                f"{name!r}, which has consumed {n_raw} unit(s)",
+                            )
+            streams: dict = {}
+            for name, link in self._links.items():
+                result = await link.request(
+                    "apply_suite", suite=request["suite"], tick=tick
+                )
+                streams.update(result["streams"])
         return {"streams": streams}
 
     async def _op_ring(self, request: dict) -> dict:

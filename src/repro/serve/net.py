@@ -37,8 +37,9 @@ Design contract (``tests/serve/test_net.py`` pins each clause):
 - **Structured error surfaces.** ``malformed-unit`` (a unit broke its
   session), ``broken-session`` (use of a fail-stopped stream),
   ``unknown-domain`` (request pinned a domain this server does not
-  serve), ``unknown-stream``, ``bad-request``, ``overloaded``, and
-  ``internal`` — each a typed error payload, never a dropped connection.
+  serve), ``unknown-stream``, ``bad-request``, ``overloaded``,
+  ``shard-unavailable`` (fleet router only) and ``internal`` — each a
+  typed error payload, never a dropped connection.
   A multi-pair ``ingest_batch`` request reports *every* failed stream
   (per-pair outcomes via :class:`~repro.serve.service.PairOutcome`),
   not just the first.
@@ -67,20 +68,17 @@ response one stream report at a time
 (:func:`~repro.utils.framing.encode_frame_pieces`), so answering it
 holds one stream's report, not the fleet's, besides the frame itself.
 
-Ops: ``ping``, ``ingest``, ``ingest_batch``, ``report``,
-``fleet_report``, ``snapshot``, ``restore``, ``evict``, ``stats``,
-``snapshot_stream``, ``restore_stream``, ``apply_suite``. The last
-three exist for the sharded fleet (:mod:`repro.fleet`): per-stream
-snapshot/restore are the two halves of a live migration, and
-``apply_suite`` lets the router reconfigure every shard in lockstep.
-Any request may carry ``"domain"``; a mismatch with the served domain is
-an ``unknown-domain`` error. See the README's "Network serving" section
-for the full payload reference.
+Every op, its fields and the path it takes is one entry of
+:data:`_OPS`, shared by the server and the fleet router; each serves
+the ops it has an ``_op_<name>`` handler for. The README's "Network
+serving" section lists them. Any request may carry ``"domain"``; a
+mismatch with the served domain is an ``unknown-domain`` error.
 """
 
 from __future__ import annotations
 
 import asyncio
+import functools
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -345,16 +343,58 @@ class _Connection(asyncio.BufferedProtocol):
         await self._lost
 
 
+#: The JSON kinds a request field may hold. No field takes a bool,
+#: though Python counts one as an integer.
+_KINDS = {
+    "string": str,
+    "object": dict,
+    "int or null": (int, type(None)),
+}
+
+#: Every op of the protocol: ``(control, {field: kind})``. A control
+#: op's fields are checked before its handler runs on the role's control
+#: path. The ingest ops declare none: they check theirs as they admit
+#: units (:data:`_BAD_INGEST`), so a malformed unit is in the ledger.
+_OPS = {
+    "ping": (False, {}),
+    "ingest": (False, {}),
+    "ingest_batch": (False, {}),
+    "report": (True, {"stream_id": "string"}),
+    "fleet_report": (True, {}),
+    "snapshot": (True, {}),
+    "restore": (True, {"snapshot": "object"}),
+    "evict": (True, {"stream_id": "string"}),
+    "stats": (True, {}),
+    "snapshot_stream": (True, {"stream_id": "string"}),
+    "restore_stream": (True, {"stream_id": "string", "session": "object"}),
+    "apply_suite": (True, {"suite": "object", "tick": "int or null"}),
+    "migrate": (True, {"stream_id": "string", "to": "string", "tick": "int or null"}),
+    "rebalance": (True, {"plan": "object", "tick": "int or null"}),
+    "ring": (True, {}),
+}
+
+
+def _field_error(op: str, fields: dict, request: dict) -> "str | None":
+    """Why ``request`` does not fit its op's fields, or None if it does."""
+    for name, kind in fields.items():
+        value = request.get(name)
+        if not isinstance(value, _KINDS[kind]) or isinstance(value, bool):
+            return f"{op} needs {name} as {kind}, got {type(value).__name__}"
+    return None
+
+
 class _LineServer:
     """The listening side shared by :class:`MonitorServer` and the fleet
     router, which both serve the same protocol for one domain from a
     ``config`` with ``host``, ``port`` and ``max_frame_bytes``.
 
-    It accepts :class:`_Connection` s, parses each line and answers what
-    needs no subclass (malformed frames, a foreign ``domain``, ``ping``),
-    answers a line past the read bound with one ``bad-request`` before
-    hanging up, and closes every connection on shutdown. Subclasses
-    implement ``_handle_request(op, request_id, request, conn)``.
+    It accepts :class:`_Connection` s, parses each line, answers what
+    :data:`_OPS` refuses (malformed frames, a foreign ``domain``, an op
+    without a handler, an ill-typed field), answers a line past the read
+    bound with one ``bad-request`` before hanging up, and closes every
+    connection on shutdown. Subclasses implement the ``_op_<name>``
+    handlers, and ``_control``, which runs a control op's handler and
+    answers it through :meth:`_answer`.
     """
 
     _role = "server"
@@ -363,6 +403,11 @@ class _LineServer:
         self._domain_name = domain_name
         self._server: "asyncio.base_events.Server | None" = None
         self._connections: "set[_Connection]" = set()
+        self._ops = {
+            op: (control, fields, getattr(self, f"_op_{op}"))
+            for op, (control, fields) in _OPS.items()
+            if hasattr(self, f"_op_{op}")
+        }
 
     async def start(self) -> None:
         if self._server is not None:
@@ -421,35 +466,54 @@ class _LineServer:
                 _error_doc(
                     request_id,
                     "unknown-domain",
-                    f"this {self._role} serves domain {self._domain_name!r}, "
-                    f"not {domain!r}",
+                    f"domain {domain!r} is not served here; this endpoint "
+                    f"serves {self._domain_name!r}",
                     domain=self._domain_name,
                 )
             )
             return
-        if op == "ping":
-            conn.send({"id": request_id, "ok": True, "result": self._pong()})
+        entry = self._ops.get(op)
+        if entry is None:
+            conn.send(_error_doc(request_id, "bad-request", f"unknown op {op!r}"))
             return
-        self._handle_request(op, request_id, request, conn)
+        control, fields, handler = entry
+        if not control:
+            handler(op, request_id, request, conn)
+            return
+        problem = _field_error(op, fields, request)
+        if problem is not None:
+            conn.send(_error_doc(request_id, "bad-request", problem))
+            return
+        self._control(op, handler, request_id, request, conn)
+
+    def _op_ping(self, op: str, request_id, request: dict, conn) -> None:
+        conn.send({"id": request_id, "ok": True, "result": self._pong()})
 
     def _pong(self) -> dict:
         return {"domain": self._domain_name, "protocol": PROTOCOL_VERSION}
 
     @staticmethod
-    def _answer(conn: _Connection, request_id, op: str, result: dict) -> None:
-        """Write the ok response to a control op.
+    def _answer(conn: _Connection, request_id, op: str, compute) -> None:
+        """Answer a control op with the result ``compute()`` returns, or
+        with the typed error it raises (:func:`_error_for`).
 
         A ``fleet_report`` result carries its ``stream_reports`` as
         ``(stream_id, report)`` pairs; they go out one per piece of the
         frame, in order, each encoded only when its turn comes.
         """
-        document = {"id": request_id, "ok": True, "result": result}
-        if op != "fleet_report":
-            conn.send(document)
-            return
-        reports = result["stream_reports"]
-        document["result"] = {**result, "stream_reports": {}}
-        conn.send_pieces(encode_frame_pieces(document, reports))
+        # A failure after part of the answer was written has closed the
+        # connection, so the error answer is a no-op then.
+        try:
+            result = compute()
+            document = {"id": request_id, "ok": True, "result": result}
+            if op != "fleet_report":
+                conn.send(document)
+                return
+            reports = result["stream_reports"]
+            document["result"] = {**result, "stream_reports": {}}
+            conn.send_pieces(encode_frame_pieces(document, reports))
+        except Exception as exc:
+            conn.send(_error_for(request_id, exc))
 
     def _handle_overrun(self, conn: _Connection) -> None:
         conn.send(_error_doc(None, "bad-request", "frame too long"))
@@ -508,29 +572,9 @@ class MonitorServer(_LineServer):
         await self._close()
 
     # ------------------------------------------------------------------
-    # Connection handling: validate, admit, enqueue
+    # Ingest: validate, admit, enqueue
     # ------------------------------------------------------------------
-    def _handle_request(self, op: str, request_id, request: dict, conn) -> None:
-        if op in ("ingest", "ingest_batch"):
-            self._admit_ingest(op, request_id, request, conn)
-            return
-        if op in (
-            "report",
-            "fleet_report",
-            "snapshot",
-            "restore",
-            "evict",
-            "stats",
-            "snapshot_stream",
-            "restore_stream",
-            "apply_suite",
-        ):
-            self._drain()  # the op sees every unit admitted before it
-            self._execute_control(op, request_id, request, conn)
-            return
-        conn.send(_error_doc(request_id, "bad-request", f"unknown op {op!r}"))
-
-    def _admit_ingest(
+    def _op_ingest(
         self, op: str, request_id, request: dict, conn: _Connection
     ) -> None:
         raw_pairs = _ingest_pairs(op, request)
@@ -573,6 +617,8 @@ class MonitorServer(_LineServer):
         self._pending_units += len(pairs)
         self._queued.append((op, request_id, conn, pairs))
         self._arm()
+
+    _op_ingest_batch = _op_ingest
 
     # ------------------------------------------------------------------
     # Coalescer: flush, respond
@@ -669,110 +715,74 @@ class MonitorServer(_LineServer):
             },
         }
 
-    def _execute_control(self, op: str, request_id, request: dict, conn) -> None:
-        from repro.serve.service import BrokenSessionError
+    # ------------------------------------------------------------------
+    # Control ops: each runs on the event loop between batches, like the
+    # ingest batches, so the service sees strictly serialized access
+    # ------------------------------------------------------------------
+    def _control(self, op: str, handler, request_id, request: dict, conn) -> None:
+        self._drain()  # the op sees every unit admitted before it
+        self._answer(conn, request_id, op, functools.partial(handler, request))
 
-        # A failure after part of the answer was written has closed the
-        # connection, so the error answers below are no-ops then.
-        try:
-            self._answer(conn, request_id, op, self._control(op, request))
-        except KeyError as exc:
-            conn.send(
-                _error_doc(
-                    request_id, "unknown-stream", f"no live stream {exc.args[0]!r}"
-                )
-            )
-        except BrokenSessionError as exc:
-            conn.send(_error_doc(request_id, "broken-session", str(exc)))
-        except ValueError as exc:
-            conn.send(_error_doc(request_id, "bad-request", str(exc)))
-        except Exception as exc:
-            conn.send(
-                _error_doc(request_id, "internal", f"{type(exc).__name__}: {exc}")
-            )
+    def _op_report(self, request: dict) -> dict:
+        stream_id = request["stream_id"]
+        return {"stream_id": stream_id, "report": self.service.report(stream_id)}
 
-    def _control(self, op: str, request: dict) -> dict:
-        # Runs on the event loop between batches, like ingest batches,
-        # so the service sees strictly serialized access.
-        if op == "report":
-            stream_id = request.get("stream_id")
-            if not isinstance(stream_id, str):
-                raise ValueError("report needs a stream_id")
-            return {
-                "stream_id": stream_id,
-                "report": self.service.report(stream_id),
-            }
-        if op == "fleet_report":
-            # Reports are built lazily, while _answer writes the frame
-            # in the same callback, so no session changes meanwhile.
-            return {
-                "domain": self.service.domain.name,
-                "assertion_names": self.service.assertion_names(),
-                "stream_reports": self.service.stream_reports(),
-            }
-        if op == "snapshot":
-            return {"snapshot": self.service.snapshot()}
-        if op == "restore":
-            snapshot = request.get("snapshot")
-            if not isinstance(snapshot, dict):
-                raise ValueError("restore needs a snapshot payload")
-            self.service.restore(snapshot)
-            return {"streams": self.service.stream_ids()}
-        if op == "evict":
-            stream_id = request.get("stream_id")
-            if not isinstance(stream_id, str):
-                raise ValueError("evict needs a stream_id")
-            self.service.evict(stream_id)
-            return {"stream_id": stream_id}
-        if op == "snapshot_stream":
-            # One stream's restorable session snapshot — the migration
-            # read half. Runs after every unit admitted before it, so
-            # the payload always sits at a raw-unit boundary.
-            stream_id = request.get("stream_id")
-            if not isinstance(stream_id, str):
-                raise ValueError("snapshot_stream needs a stream_id")
-            session = self.service.session_snapshot(stream_id)
-            return {
-                "stream_id": stream_id,
-                "session": session,
-                "n_raw": session["n_raw"],
-            }
-        if op == "restore_stream":
-            # The migration write half: re-admit one stream exactly
-            # where another shard's snapshot_stream left it.
-            stream_id = request.get("stream_id")
-            session = request.get("session")
-            if not isinstance(stream_id, str) or not isinstance(session, dict):
-                raise ValueError("restore_stream needs stream_id + session")
-            restored = self.service.restore_session(stream_id, session)
-            return {"stream_id": stream_id, "n_raw": restored.n_raw}
-        if op == "apply_suite":
-            from repro.core.spec import AssertionSuite
+    def _op_fleet_report(self, request: dict) -> dict:
+        # Reports are built lazily, while _answer writes the frame in
+        # the same callback, so no session changes meanwhile.
+        return {
+            "domain": self.service.domain.name,
+            "assertion_names": self.service.assertion_names(),
+            "stream_reports": self.service.stream_reports(),
+        }
 
-            suite_payload = request.get("suite")
-            if not isinstance(suite_payload, dict):
-                raise ValueError("apply_suite needs a suite payload")
-            try:
-                suite = from_jsonable(suite_payload)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"suite payload does not decode: {exc}") from exc
-            if not isinstance(suite, AssertionSuite):
-                raise ValueError(
-                    "suite payload does not decode to an AssertionSuite "
-                    f"(got {type(suite).__name__})"
-                )
-            tick = request.get("tick")
-            if tick is not None and not isinstance(tick, int):
-                raise ValueError("apply_suite tick must be an integer")
-            diffs = self.service.apply_suite(suite, tick=tick)
-            return {"streams": diffs}
-        # stats (reads only counters + session ids; still serialized)
+    def _op_snapshot(self, request: dict) -> dict:
+        return {"snapshot": self.service.snapshot()}
+
+    def _op_restore(self, request: dict) -> dict:
+        self.service.restore(request["snapshot"])
+        return {"streams": self.service.stream_ids()}
+
+    def _op_evict(self, request: dict) -> dict:
+        self.service.evict(request["stream_id"])
+        return {"stream_id": request["stream_id"]}
+
+    def _op_stats(self, request: dict) -> dict:
         payload = self.stats.as_dict()
         payload["pending"] = self._pending_units
         payload["streams"] = len(self.service)
         payload["sessions"] = self.service.session_units()
         payload["domain"] = self.service.domain.name
         return payload
+
+    def _op_snapshot_stream(self, request: dict) -> dict:
+        # One stream's restorable session snapshot — the migration read
+        # half. Runs after every unit admitted before it, so the payload
+        # always sits at a raw-unit boundary.
+        stream_id = request["stream_id"]
+        session = self.service.session_snapshot(stream_id)
+        return {"stream_id": stream_id, "session": session, "n_raw": session["n_raw"]}
+
+    def _op_restore_stream(self, request: dict) -> dict:
+        # The migration write half: re-admit one stream exactly where
+        # another shard's snapshot_stream left it.
+        stream_id = request["stream_id"]
+        restored = self.service.restore_session(stream_id, request["session"])
+        return {"stream_id": stream_id, "n_raw": restored.n_raw}
+
+    def _op_apply_suite(self, request: dict) -> dict:
+        from repro.core.spec import AssertionSuite
+
+        try:
+            suite = from_jsonable(request["suite"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"suite payload does not decode: {exc}") from exc
+        if not isinstance(suite, AssertionSuite):
+            raise ValueError(
+                "suite payload does not decode to an AssertionSuite "
+                f"(got {type(suite).__name__})"
+            )
+        return {"streams": self.service.apply_suite(suite, tick=request.get("tick"))}
 
 
 _BAD_INGEST = (
@@ -797,6 +807,25 @@ def _error_doc(request_id, error_type: str, message: str, **extra) -> dict:
     error = {"type": error_type, "message": message}
     error.update(extra)
     return {"id": request_id, "ok": False, "error": error}
+
+
+def _error_for(request_id, exc: Exception) -> dict:
+    """The typed wire error for what a control op raised, on either role.
+
+    A shard's :class:`ServiceError` passes through. An exception with a
+    ``wire_type`` (and ``wire_fields``) names its error itself, so this
+    module imports neither the service nor the router. Any other
+    ``ValueError`` is a payload the op refuses, ``bad-request``; the
+    rest, a bare ``KeyError`` included, is ``internal``.
+    """
+    if isinstance(exc, ServiceError):
+        return {"id": request_id, "ok": False, "error": exc.error}
+    fields = getattr(exc, "wire_fields", {})
+    if hasattr(exc, "wire_type"):
+        return _error_doc(request_id, exc.wire_type, str(exc), **fields)
+    if isinstance(exc, ValueError):
+        return _error_doc(request_id, "bad-request", str(exc), **fields)
+    return _error_doc(request_id, "internal", f"{type(exc).__name__}: {exc}")
 
 
 def _outcome_error(outcome: PairOutcome) -> dict:

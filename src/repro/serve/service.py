@@ -55,9 +55,22 @@ class BrokenSessionError(RuntimeError):
 
     A ``RuntimeError`` subclass so pre-existing ``except RuntimeError``
     handlers keep working; the network front-end (:mod:`repro.serve.net`)
-    types on it to emit a ``broken-session`` error payload instead of a
+    answers it with its ``wire_type``, ``broken-session``, instead of a
     generic failure.
     """
+
+    wire_type = "broken-session"
+
+
+class _UnknownStream(KeyError):
+    """No live session for a stream id. A ``KeyError``, as the service's
+    lookups document; the network front-end answers it with its
+    ``wire_type`` and tells it from a key missing in a payload."""
+
+    wire_type = "unknown-stream"
+
+    def __str__(self) -> str:
+        return f"no live stream {self.args[0]!r}"
 
 
 class BatchIngestError(RuntimeError):
@@ -262,7 +275,12 @@ class StreamSession:
         across an :meth:`MonitorService.apply_suite` boundary, where the
         service's current template differs from what this stream ran.
         """
-        monitor_payload = payload["monitor"]
+        try:
+            monitor_payload = payload["monitor"]
+            state, n_raw = payload["state"], payload["n_raw"]
+        except KeyError as exc:
+            # The client's payload, not a missing stream: a bad request.
+            raise ValueError(f"session payload lacks key {exc}") from exc
         if monitor_payload.get("suite") is not None:
             monitor = OMG.from_snapshot(monitor_payload)
             session = cls(
@@ -271,8 +289,8 @@ class StreamSession:
         else:
             session = cls(stream_id, domain, now, suite=suite)
             session.monitor.restore(monitor_payload)
-        session.state = domain.state_restore(payload["state"])
-        session.n_raw = int(payload["n_raw"])
+        session.state = domain.state_restore(state)
+        session.n_raw = int(n_raw)
         return session
 
 
@@ -479,7 +497,8 @@ class MonitorService:
         persisted); hand it to :meth:`restore_session` to re-admit the
         stream exactly where it left off.
         """
-        session = self._sessions.pop(stream_id)
+        session = self._live(stream_id)
+        del self._sessions[stream_id]
         if self.config.snapshot_on_evict and session.broken is None:
             session.evict_snapshot = session.snapshot()
         for action in self._evict_actions:
@@ -496,7 +515,13 @@ class MonitorService:
         :class:`BrokenSessionError` for broken sessions.
         """
         self._purge_expired(self._clock())
-        return self._sessions[stream_id].snapshot()
+        return self._live(stream_id).snapshot()
+
+    def _live(self, stream_id: str) -> StreamSession:
+        session = self._sessions.get(stream_id)
+        if session is None:
+            raise _UnknownStream(stream_id)
+        return session
 
     def session_units(self) -> dict:
         """stream_id → raw units consumed, for every live session.
@@ -790,7 +815,7 @@ class MonitorService:
         just TTL-expired (reading a report does not count as use).
         """
         self._purge_expired(self._clock())
-        return self._sessions[stream_id].report()
+        return self._live(stream_id).report()
 
     def fleet_report(self) -> FleetReport:
         """Every live stream's report plus the stacked fleet aggregate.
@@ -877,13 +902,17 @@ class MonitorService:
                 f"serves {self.domain.name!r}"
             )
         now = self._clock()
+        suite = self._suite
         if payload.get("suite") is not None:
-            self._suite = from_jsonable(payload["suite"])
+            suite = from_jsonable(payload["suite"])
         restored: "OrderedDict[str, StreamSession]" = OrderedDict()
         for stream_id, session_payload in payload["sessions"]:
             restored[stream_id] = StreamSession.restore(
-                stream_id, self.domain, session_payload, now, suite=self._suite
+                stream_id, self.domain, session_payload, now, suite=suite
             )
+        # Set only once every session restored: a refused restore must
+        # leave the template for later sessions as it was.
+        self._suite = suite
         for stream_id in list(self._sessions):
             if stream_id in self._sessions:  # a hook may have evicted it
                 self.evict(stream_id)

@@ -14,15 +14,18 @@ class SnapshotFormatError(ValueError):
     (:mod:`repro.fleet.snapshot`) — so an old payload fails loudly
     instead of as a ``KeyError`` deep inside a restore. Carries
     ``found`` (the payload's version, or ``None``) and ``supported``;
-    the message names both. It lives here, with no numpy behind it, so
-    the fleet router can raise and catch it without loading the monitor
-    core; :mod:`repro.core.runtime` and :mod:`repro.fleet` re-export it.
+    the message names both, and ``wire_fields`` puts both into the
+    ``bad-request`` a server or router answers with. It lives here, with
+    no numpy behind it, so the fleet router can raise and catch it
+    without loading the monitor core; :mod:`repro.core.runtime` and
+    :mod:`repro.fleet` re-export it.
     """
 
     def __init__(self, message: str, *, found=None, supported=None) -> None:
         super().__init__(message)
         self.found = found
         self.supported = supported
+        self.wire_fields = {"found": found, "supported": supported}
 
 
 def atomic_write_json(payload: dict, path: str) -> None:

@@ -196,6 +196,28 @@ class TestServiceSnapshot:
         with pytest.raises(ValueError, match="domain"):
             other.restore(payload)
 
+    def test_refused_restore_leaves_the_suite_template_alone(self):
+        source = MonitorService("tvnews")
+        domain = source.domain
+        units = domain.iter_stream(domain.build_world(1))
+        for _ in range(3):
+            source.ingest("s", next(units))
+        suite = domain.assertion_suite()
+        source.apply_suite(suite.without(suite.entries[0].name))
+        payload = json_round_trip(source.snapshot())
+        assert payload["suite"] is not None
+        payload["sessions"][0][1]["monitor"]["format"] = 2
+
+        target = MonitorService("tvnews")
+        names = target.assertion_names()
+        with pytest.raises(SnapshotFormatError):
+            target.restore(payload)
+        assert target.suite is None
+        assert target.assertion_names() == names
+        fresh = target.session("fresh")
+        assert fresh.suite is None
+        assert fresh.monitor.database.names() == names
+
     def test_snapshot_file_round_trip(self, tmp_path):
         path = str(tmp_path / "fleet.json")
         service = MonitorService("tvnews")
